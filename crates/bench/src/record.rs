@@ -106,10 +106,27 @@ impl BenchRecord {
     }
 }
 
-/// Repo-root path of a bench series file, e.g. `series_path("engine")`
-/// → `<repo>/BENCH_engine.json`.
+/// Workspace-root path of a bench series file, e.g.
+/// `series_path("engine")` → `<root>/BENCH_engine.json`.
+///
+/// The root is resolved at run time as the [`workspace_root`] of the
+/// working directory (`cargo bench` runs a bench from its package
+/// directory, `cargo run` from where it was invoked), so a build copied
+/// to another tree writes that tree's series, never the one it was
+/// compiled in. Outside any workspace the working directory is used.
 pub fn series_path(name: &str) -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(format!("BENCH_{name}.json"))
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root(&cwd)
+        .unwrap_or(cwd)
+        .join(format!("BENCH_{name}.json"))
+}
+
+/// The nearest of `start` and its ancestors that holds a `Cargo.lock`.
+fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| dir.join("Cargo.lock").is_file())
+        .map(Path::to_path_buf)
 }
 
 /// Loads every record of a series file (one JSON object per line).
@@ -232,6 +249,33 @@ mod tests {
         .unwrap();
         let (b, c, s, _) = common_fields_compat(&legacy).unwrap();
         assert!((b - 400.0).abs() < 1e-9 && (c - 100.0).abs() < 1e-9 && s == 4.0);
+    }
+
+    #[test]
+    fn series_files_live_at_the_nearest_lockfile_ancestor() {
+        let root = std::env::temp_dir().join("dana_bench_root_test");
+        let _ = std::fs::remove_dir_all(&root);
+        let deep = root.join("crates/bench");
+        std::fs::create_dir_all(&deep).unwrap();
+        std::fs::write(root.join("Cargo.lock"), "").unwrap();
+        assert_eq!(workspace_root(&deep), Some(root.clone()));
+        assert_eq!(workspace_root(&root), Some(root.clone()));
+        // A nested workspace's own lockfile wins.
+        std::fs::write(root.join("crates/Cargo.lock"), "").unwrap();
+        assert_eq!(workspace_root(&deep), Some(root.join("crates")));
+        let _ = std::fs::remove_dir_all(&root);
+
+        // From inside this checkout the series are the repo-root files
+        // the baseline checker has always read.
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(
+            series_path("serve")
+                .parent()
+                .unwrap()
+                .canonicalize()
+                .unwrap(),
+            repo.canonicalize().unwrap()
+        );
     }
 
     #[test]

@@ -224,6 +224,9 @@ pub struct MetricsRegistry {
     pub point_queries: Counter,
     /// Coalesced batcher dispatches issued.
     pub coalesced_dispatches: Counter,
+    /// Batcher dispatches that sealed without waiting out the window
+    /// (work-conserving skips: nothing could have joined).
+    pub window_skips: Counter,
     /// Prediction-cache hits / misses / entries flushed by invalidation.
     pub prediction_cache_hits: Counter,
     pub prediction_cache_misses: Counter,
@@ -335,6 +338,7 @@ impl MetricsRegistry {
         let serving: &[(&str, &Counter)] = &[
             ("point_queries", &self.point_queries),
             ("coalesced_dispatches", &self.coalesced_dispatches),
+            ("window_skips", &self.window_skips),
             ("cache_hits", &self.prediction_cache_hits),
             ("cache_misses", &self.prediction_cache_misses),
             ("cache_invalidations", &self.prediction_cache_invalidations),

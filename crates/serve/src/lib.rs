@@ -16,7 +16,8 @@
 //!   the rows feed the *same* SoA lockstep scorer the scan would;
 //! * **cross-request batching** ([`Batcher`]) — concurrent point
 //!   requests against the same accelerator coalesce into one dispatch
-//!   (bounded wait window + max batch size). Fan-out is deterministic:
+//!   (a bounded wait window, paid only when another request can join,
+//!   plus a max batch size). Fan-out is deterministic:
 //!   each caller gets exactly its own row's prediction, so replies are
 //!   independent of arrival order and bit-identical to serial scoring;
 //! * **a staleness-aware prediction cache** ([`PredictionCache`]) —

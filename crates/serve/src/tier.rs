@@ -8,16 +8,20 @@
 //! 2. **coalesced dispatch** — otherwise ride the [`Batcher`]: rows
 //!    for the same UDF that arrive within the window share one
 //!    `QueryRequest::PredictPoint` call through the server's full
-//!    admission/lease/deadline machinery, on the leader's session;
+//!    admission/lease/deadline machinery, on the leader's session. The
+//!    batcher is work-conserving: when the UDF has nothing in flight
+//!    and its last windowed batch found no company, the leader skips
+//!    the window and dispatches at once, so a lone client pays
+//!    scoring and dispatch, not the window;
 //! 3. **stamp-stable insert** — the result is cached only if the model
 //!    generation observed *before* the dispatch is still the live one
 //!    afterwards. A retrain that lands mid-flight simply skips the
 //!    insert, so the cache can never hold a prediction whose provenance
 //!    is ambiguous.
 //!
-//! Serving counters (hits, misses, invalidations, occupancy, latency)
-//! land in the core [`MetricsRegistry`] and surface through
-//! `SHOW STATS ('serving')`.
+//! Serving counters (hits, misses, invalidations, occupancy, latency,
+//! coalesced dispatches and window skips) land in the core
+//! [`MetricsRegistry`] and surface through `SHOW STATS ('serving')`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,9 +59,11 @@ pub struct ServeTier {
 
 impl ServeTier {
     pub fn new(server: Arc<DanaServer>, config: ServeConfig) -> ServeTier {
+        let skips = Arc::clone(&server);
         ServeTier {
             cache: PredictionCache::new(config.cache),
-            batcher: Batcher::new(config.batcher),
+            batcher: Batcher::new(config.batcher)
+                .on_window_skip(move || skips.core().metrics().window_skips.inc()),
             server,
         }
     }

@@ -439,6 +439,22 @@ fn serving_stats_surface_through_show_stats() {
     tier.predict_point(session, &udf, &row).unwrap();
     tier.predict_point(session, &udf, &row).unwrap();
 
+    // A lone client of a windowed, uncached tier waits the window once;
+    // its next two dispatches skip it.
+    let windowed = ServeTier::new(
+        Arc::clone(&srv),
+        ServeConfig {
+            cache: CacheConfig { capacity: 0 },
+            batcher: BatcherConfig {
+                max_batch: 16,
+                window: Duration::from_millis(20),
+            },
+        },
+    );
+    for _ in 0..3 {
+        windowed.predict_point(session, &udf, &row).unwrap();
+    }
+
     let reply = srv
         .call(
             session,
@@ -450,6 +466,8 @@ fn serving_stats_surface_through_show_stats() {
     assert!(snap.get("serving", "cache_hits").unwrap() >= 1.0);
     assert!(snap.get("serving", "cache_misses").unwrap() >= 1.0);
     assert!(snap.get("serving", "point_latency_count").unwrap() >= 1.0);
+    assert_eq!(snap.get("serving", "window_skips"), Some(2.0));
     let table = snap.render_table();
     assert!(table.contains("cache_hits"), "table:\n{table}");
+    assert!(table.contains("window_skips"), "table:\n{table}");
 }
