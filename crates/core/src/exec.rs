@@ -87,18 +87,22 @@ pub fn finish_trace(
 /// children / `merge`) of one composed training run. The stage sims are
 /// an exact partition of [`compose`]'s `total_seconds` — `lease + scan +
 /// engine + merge` reproduces the report total to float rounding, which
-/// `EXPLAIN ANALYZE` asserts against the query report.
+/// `EXPLAIN ANALYZE` asserts against the query report. `scan` also
+/// carries the page sources' measured wall
+/// ([`AccessStats::scan_wall_seconds`]).
 ///
 /// Counts and children depend only on the statement and the engine's
 /// deterministic epoch outcome — never on gang width or facade — so the
 /// trace *shape* is identical across serial/concurrent paths and shard
 /// counts (gang scan work aggregates into the one `scan` stage via the
 /// critical path, which is exactly how the cost model composes it).
+#[allow(clippy::too_many_arguments)]
 fn record_training_spans(
     rec: &SpanRecorder,
     mode: ExecutionMode,
     epochs: u32,
     costs: &EpochCosts,
+    scan_wall: Seconds,
     clock_hz: f64,
     epoch_cycles: &[u64],
     merge_cycles: u64,
@@ -109,6 +113,7 @@ fn record_training_spans(
     let part = stage_partition(mode, epochs, costs);
     rec.add_sim(stage::LEASE, part.setup);
     rec.add_sim(stage::SCAN, part.scan);
+    rec.add_wall(stage::SCAN, scan_wall);
     // The gang's epoch-boundary merge tier rides the engine's cycle
     // counter in the cost model; carve its share back out so the trace
     // attributes it to its own stage (bounded by the engine slice).
@@ -137,13 +142,19 @@ fn record_training_spans(
 /// merge tier — `engine` carries the forward-pass compute
 /// ([`ScoringStats::engine_seconds`]) and `merge` stays an empty anchor
 /// so scoring traces keep the same stage order as training.
-fn record_scoring_spans(rec: &SpanRecorder, mode: ExecutionMode, costs: &EpochCosts) {
+fn record_scoring_spans(
+    rec: &SpanRecorder,
+    mode: ExecutionMode,
+    costs: &EpochCosts,
+    scan_wall: Seconds,
+) {
     if !rec.is_enabled() {
         return;
     }
     let part = stage_partition(mode, 1, costs);
     rec.add_sim(stage::LEASE, part.setup);
     rec.add_sim(stage::SCAN, part.scan);
+    rec.add_wall(stage::SCAN, scan_wall);
     rec.add_sim(stage::ENGINE, part.engine);
     rec.stage(stage::MERGE);
 }
@@ -501,9 +512,10 @@ pub fn packed_page_capacity(heap: &HeapFile, spec: &BoundScanSpec) -> DanaResult
 /// boundaries) and replays slices of it per member; this divides the
 /// scan's cost model the same way — tuples exactly per split, integer
 /// counters evenly with the remainder on the earliest shards, float
-/// terms evenly. One shard passes the stats through untouched, which is
-/// what keeps a `shards = 1` filtered gang bit-identical to the serial
-/// filtered query.
+/// terms evenly. The measured scan wall is not split: the one scan ran
+/// before any member started, so every member carries all of it. One
+/// shard passes the stats through untouched, which is what keeps a
+/// `shards = 1` filtered gang bit-identical to the serial filtered query.
 pub fn split_filtered_scan_stats(
     stats: &AccessStats,
     io_first: Seconds,
@@ -530,6 +542,7 @@ pub fn split_filtered_scan_stats(
                 decompressed_bytes: div(stats.decompressed_bytes, i),
                 pages_skipped: div(stats.pages_skipped, i),
                 access_seconds: stats.access_seconds / k as f64,
+                scan_wall_seconds: stats.scan_wall_seconds,
             };
             (share, io_first / k as f64)
         })
@@ -611,7 +624,16 @@ pub fn assemble_report(
         engine_per_epoch,
     );
     let timing: DanaTiming = compose(mode, epochs, &costs);
-    record_training_spans(rec, mode, epochs, &costs, fpga.clock.hz, &epoch_cycles, 0);
+    record_training_spans(
+        rec,
+        mode,
+        epochs,
+        &costs,
+        access_stats.scan_wall_seconds,
+        fpga.clock.hz,
+        &epoch_cycles,
+        0,
+    );
 
     let model_names = design.models.iter().map(|m| m.name.clone()).collect();
     DanaReport {
@@ -885,7 +907,7 @@ pub fn assemble_scoring_timing(
         io_first,
         scoring.engine_seconds(fpga.clock.hz),
     );
-    record_scoring_spans(rec, mode, &costs);
+    record_scoring_spans(rec, mode, &costs, access_stats.scan_wall_seconds);
     compose(mode, 1, &costs)
 }
 
@@ -916,6 +938,7 @@ fn critical_access(shards: &[ShardArtifacts]) -> AccessStats {
         crit.decompressed_bytes = crit.decompressed_bytes.max(a.decompressed_bytes);
         crit.pages_skipped = crit.pages_skipped.max(a.pages_skipped);
         crit.access_seconds = crit.access_seconds.max(a.access_seconds);
+        crit.scan_wall_seconds = crit.scan_wall_seconds.max(a.scan_wall_seconds);
     }
     crit
 }
@@ -1005,7 +1028,16 @@ pub fn assemble_gang_report(
         engine_per_epoch,
     );
     let timing: DanaTiming = compose(mode, epochs, &costs);
-    record_training_spans(rec, mode, epochs, &costs, fpga.clock.hz, &[], merge_cycles);
+    record_training_spans(
+        rec,
+        mode,
+        epochs,
+        &costs,
+        access.scan_wall_seconds,
+        fpga.clock.hz,
+        &[],
+        merge_cycles,
+    );
     let model_names = design.models.iter().map(|m| m.name.clone()).collect();
     Ok(DanaReport {
         models: store.into_values(),
@@ -1084,7 +1116,7 @@ pub fn assemble_gang_scoring_timing(
         io_first,
         combined.engine_seconds(fpga.clock.hz),
     );
-    record_scoring_spans(rec, mode, &costs);
+    record_scoring_spans(rec, mode, &costs, access.scan_wall_seconds);
     (compose(mode, 1, &costs), combined)
 }
 

@@ -19,6 +19,7 @@
 //! while the functional replay stays cheap and deterministic.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use dana_scan::{BoundScanSpec, ScanSidecar};
 use dana_storage::{
@@ -218,6 +219,7 @@ impl<'a> PageStreamSource<'a> {
                 return Ok(false);
             }
         }
+        let started = Instant::now();
         let width = self.width();
         let mut batch = TupleBatch::with_capacity(width, self.heap.layout().capacity as usize);
         let extracted = match &self.scan {
@@ -280,6 +282,7 @@ impl<'a> PageStreamSource<'a> {
         extracted?;
         self.stats.pages += 1;
         self.stats.tuples += batch.len() as u64;
+        self.stats.scan_wall_seconds += started.elapsed().as_secs_f64();
         self.cache.push(batch);
         Ok(true)
     }
@@ -468,6 +471,7 @@ impl<'a> SharedPageStreamSource<'a> {
                 return Ok(false);
             }
         }
+        let started = Instant::now();
         let width = self.width();
         let mut batch = TupleBatch::with_capacity(width, self.heap.layout().capacity as usize);
         match &self.scan {
@@ -522,6 +526,7 @@ impl<'a> SharedPageStreamSource<'a> {
         };
         self.stats.pages += 1;
         self.stats.tuples += batch.len() as u64;
+        self.stats.scan_wall_seconds += started.elapsed().as_secs_f64();
         self.cache.push(batch);
         Ok(true)
     }

@@ -103,6 +103,16 @@ impl TupleBatch {
         self.data.extend_from_slice(row);
     }
 
+    /// Appends one row that `fill` writes in place: it receives the new
+    /// row's `width()` values, zeroed. The bulk form of
+    /// [`TupleBatch::start_row`] for producers that decode a whole row at
+    /// once (page extraction).
+    pub fn push_row_with(&mut self, fill: impl FnOnce(&mut [f32])) {
+        let start = self.data.len();
+        self.data.resize(start + self.width, 0.0);
+        fill(&mut self.data[start..]);
+    }
+
     /// Starts an in-place row append for value-at-a-time producers (page
     /// deform loops). The row only becomes visible on
     /// [`RowBuilder::finish`]; dropping the builder early discards the
@@ -281,6 +291,19 @@ mod tests {
         let mut r = b.start_row();
         r.push(1.0);
         r.finish();
+    }
+
+    #[test]
+    fn push_row_with_fills_one_zeroed_row_in_place() {
+        let mut b = TupleBatch::new(3);
+        b.push_row(&[1.0, 2.0, 3.0]);
+        b.push_row_with(|row| {
+            assert_eq!(row, &[0.0; 3]);
+            row[0] = 4.0;
+            row[2] = 6.0;
+        });
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.row(1), &[4.0, 0.0, 6.0]);
     }
 
     #[test]

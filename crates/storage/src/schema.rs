@@ -25,6 +25,7 @@ pub enum ColumnType {
 
 impl ColumnType {
     /// On-page width in bytes.
+    #[inline]
     pub fn width(&self) -> usize {
         match self {
             ColumnType::Float4 | ColumnType::Int4 => 4,

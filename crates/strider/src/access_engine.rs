@@ -10,13 +10,22 @@
 //! buffers), and the float-conversion unit that turns extracted column
 //! bytes into the execution engine's f32 operands ("transform user data
 //! into a floating point format", §6.2).
+//!
+//! Two walkers share one contract. [`StriderMachine`] interprets the
+//! generated program instruction by instruction and is the cycle-model
+//! reference; [`PageWalk`] is the same program compiled once, when the
+//! engine is built, into a straight-line walk that reads each tuple's
+//! user data straight out of the page. Extraction takes the compiled walk
+//! whenever it accepts a page and the interpreter otherwise, so records,
+//! cycles and errors are the interpreter's on every page.
 
 use dana_fpga::{AxiLink, Clock, Seconds};
 use dana_storage::{ColumnType, HeapFile, PageLayoutDesc, Schema, TupleBatch};
 
 use crate::codegen::strider_program_for_layout;
 use crate::error::{StriderError, StriderResult};
-use crate::machine::StriderMachine;
+use crate::kernel::{live_count, PageWalk};
+use crate::machine::{StriderMachine, StriderRun};
 
 /// Sizing and timing configuration for the access engine.
 #[derive(Debug, Clone, Copy)]
@@ -56,8 +65,9 @@ impl ExtractedTuple {
 }
 
 /// One column's byte → engine-native f32 conversion (the float-conversion
-/// unit of §6.2). Shared by the batch and reference extraction paths so
-/// they are bit-identical by construction.
+/// unit of §6.2). Shared by every extraction path so they are
+/// bit-identical by construction.
+#[inline(always)]
 fn convert_cell(ty: ColumnType, bytes: &[u8]) -> f32 {
     match ty {
         ColumnType::Float4 => f32::from_le_bytes(bytes.try_into().unwrap()),
@@ -65,6 +75,26 @@ fn convert_cell(ty: ColumnType, bytes: &[u8]) -> f32 {
         ColumnType::Int4 => i32::from_le_bytes(bytes.try_into().unwrap()) as f32,
         ColumnType::Int8 => i64::from_le_bytes(bytes.try_into().unwrap()) as f32,
     }
+}
+
+/// Converts one run of same-typed cells into `out`. Always inlined into
+/// an arm that fixes `ty`, so the per-cell rule folds to one conversion.
+#[inline(always)]
+fn convert_run(ty: ColumnType, cells: &[u8], out: &mut [f32]) {
+    for (v, cell) in out.iter_mut().zip(cells.chunks_exact(ty.width())) {
+        *v = convert_cell(ty, cell);
+    }
+}
+
+/// Consecutive columns of one type: the unit a record converts in.
+#[derive(Debug, Clone, Copy)]
+struct CellRun {
+    ty: ColumnType,
+    /// First column's index in the schema.
+    column: usize,
+    /// First cell's offset in the record's user data.
+    offset: usize,
+    columns: usize,
 }
 
 /// Aggregate costs of one extraction pass.
@@ -91,31 +121,62 @@ pub struct AccessStats {
     /// Pages a pushdown scan proved unmatchable from their zone maps and
     /// never fetched. Excluded from `pages`/`bytes_transferred`.
     pub pages_skipped: u64,
-    /// Wall-clock seconds for the access engine with `num_striders`-way
+    /// Simulated seconds for the access engine with `num_striders`-way
     /// parallel extraction overlapped against AXI streaming.
     pub access_seconds: Seconds,
+    /// Measured host seconds the page source spent producing this pass's
+    /// batches: buffer-pool fetch, decompression and extraction. The one
+    /// host-clock figure here (every other field is a count or the cycle
+    /// model); it is the `scan` trace stage's wall time.
+    pub scan_wall_seconds: Seconds,
 }
 
 /// The access engine for one table's layout + schema.
 pub struct AccessEngine {
     config: AccessEngineConfig,
     machine: StriderMachine,
+    /// The generated program as a compiled page walk — `None` leaves
+    /// every page on the interpreter.
+    kernel: Option<PageWalk>,
+    /// The schema's columns grouped into same-typed runs, in order.
+    runs: Vec<CellRun>,
     schema: Schema,
     layout: PageLayoutDesc,
 }
 
 impl AccessEngine {
     /// Builds the engine for a table: generates the Strider program for the
-    /// table's page layout (the deployment-time compiler step).
+    /// table's page layout (the deployment-time compiler step) and
+    /// compiles it into the page walk extraction runs on.
     pub fn for_table(
         layout: PageLayoutDesc,
         schema: Schema,
         config: AccessEngineConfig,
     ) -> AccessEngine {
         let (program, regs) = strider_program_for_layout(&layout);
+        // A walk whose records are not the layout's user data would fail
+        // the interpreter's length check; keep such pages interpreted.
+        let kernel = PageWalk::compile(&program, &regs)
+            .filter(|k| k.record_bytes() == layout.tuple_data_bytes());
+        let mut runs: Vec<CellRun> = Vec::new();
+        let mut offset = 0;
+        for (column, c) in schema.columns().iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if run.ty == c.ty => run.columns += 1,
+                _ => runs.push(CellRun {
+                    ty: c.ty,
+                    column,
+                    offset,
+                    columns: 1,
+                }),
+            }
+            offset += c.ty.width();
+        }
         AccessEngine {
             config,
             machine: StriderMachine::new(program, regs),
+            kernel,
+            runs,
             schema,
             layout,
         }
@@ -136,16 +197,13 @@ impl AccessEngine {
     /// the hardware streams converted values straight to the execution
     /// engine's input buffers (§6.2).
     ///
-    /// Pages with no live tuples are skipped host-side — the DMA engine
-    /// never ships them (heap builders also never produce them).
+    /// A page whose header declares no live tuples yields no rows and
+    /// costs no cycles: the host checks the count before starting a
+    /// Strider, as the DMA engine would never ship such a page.
     pub fn extract_page_into(&self, page: &[u8], batch: &mut TupleBatch) -> StriderResult<u64> {
-        let run = self.machine.run(page)?;
-        let mut conversion = 0u64;
-        for rec in run.records() {
-            self.convert_record_into(rec, batch)?;
-            conversion += self.schema.len() as u64;
-        }
-        Ok(run.cycles + conversion)
+        self.walk_page(page, |rec| {
+            batch.push_row_with(|row| self.convert(rec, row))
+        })
     }
 
     /// Filtered/projected variant of [`AccessEngine::extract_page_into`]:
@@ -166,53 +224,73 @@ impl AccessEngine {
         projection: Option<&[usize]>,
         mut keep: impl FnMut(&[f32]) -> bool,
     ) -> StriderResult<u64> {
-        let run = self.machine.run(page)?;
-        let mut conversion = 0u64;
         let mut row = vec![0f32; self.schema.len()];
-        for rec in run.records() {
-            self.check_record_len(rec)?;
-            let mut off = 0usize;
-            for (c, col) in self.schema.columns().iter().enumerate() {
-                let w = col.ty.width();
-                row[c] = convert_cell(col.ty, &rec[off..off + w]);
-                off += w;
-            }
-            conversion += self.schema.len() as u64;
+        self.walk_page(page, |rec| {
+            self.convert(rec, &mut row);
             if !keep(&row) {
-                continue;
+                return;
             }
-            let mut out = batch.start_row();
             match projection {
                 Some(cols) => {
+                    let mut out = batch.start_row();
                     for &c in cols {
                         out.push(row[c]);
                     }
+                    out.finish();
                 }
-                None => {
-                    for &v in &row {
-                        out.push(v);
-                    }
-                }
+                None => batch.push_row(&row),
             }
-            out.finish();
-        }
-        Ok(run.cycles + conversion)
+        })
     }
 
-    /// Reference per-tuple extraction path, retained for differential
-    /// testing of the batch pipeline (and for callers that want row
-    /// objects). Allocates one `Vec<f32>` per tuple — never used on the
-    /// deploy/execute hot path.
+    /// Reference per-tuple extraction path: always the interpreter,
+    /// retained for differential testing of the compiled walk and the
+    /// batch pipeline (and for callers that want row objects). Allocates
+    /// one `Vec<f32>` per tuple — never used on the deploy/execute hot
+    /// path.
     pub fn extract_page_rows(&self, page: &[u8]) -> StriderResult<(Vec<ExtractedTuple>, u64)> {
-        let run = self.machine.run(page)?;
+        let run = self.interpret(page)?;
         let mut tuples = Vec::with_capacity(run.len());
-        let mut conversion = 0u64;
         for rec in run.records() {
-            let t = self.convert_record(rec)?;
-            conversion += t.values.len() as u64;
-            tuples.push(t);
+            self.check_record_len(rec)?;
+            let mut values = vec![0f32; self.schema.len()];
+            self.convert(rec, &mut values);
+            tuples.push(ExtractedTuple { values });
         }
+        let conversion = (tuples.len() * self.schema.len()) as u64;
         Ok((tuples, run.cycles + conversion))
+    }
+
+    /// The interpreter's run over one page, after the host-side skip of
+    /// pages declaring no live tuples (the generated loop is do-while, so
+    /// the Strider itself would emit the page header as a record).
+    fn interpret(&self, page: &[u8]) -> StriderResult<StriderRun> {
+        if live_count(page) == Some(0) {
+            return Ok(StriderRun::default());
+        }
+        self.machine.run(page)
+    }
+
+    /// Walks one page, handing each record's user-data bytes to `emit`
+    /// in walk order, and returns the cycles charged: Strider extraction
+    /// plus one conversion cycle per value. The compiled walk takes the
+    /// page when it accepts it; otherwise the interpreter runs, so the
+    /// records, cycles and errors are always the interpreter's.
+    fn walk_page(&self, page: &[u8], mut emit: impl FnMut(&[u8])) -> StriderResult<u64> {
+        let values = self.schema.len() as u64;
+        if let Some(walk) = self.kernel.and_then(|k| k.walk(page)) {
+            // Every record is `record_bytes` long, checked at build time.
+            for rec in walk.records() {
+                emit(rec);
+            }
+            return Ok(walk.cycles() + walk.len() as u64 * values);
+        }
+        let run = self.interpret(page)?;
+        for rec in run.records() {
+            self.check_record_len(rec)?;
+            emit(rec);
+        }
+        Ok(run.cycles + run.len() as u64 * values)
     }
 
     fn check_record_len(&self, rec: &[u8]) -> StriderResult<()> {
@@ -226,31 +304,20 @@ impl AccessEngine {
         Ok(())
     }
 
-    /// Converts one cleansed record (user-data bytes) into a flat batch row.
-    fn convert_record_into(&self, rec: &[u8], batch: &mut TupleBatch) -> StriderResult<()> {
-        self.check_record_len(rec)?;
-        let mut row = batch.start_row();
-        let mut off = 0usize;
-        for col in self.schema.columns() {
-            let w = col.ty.width();
-            row.push(convert_cell(col.ty, &rec[off..off + w]));
-            off += w;
+    /// Converts one cleansed record (user-data bytes) into `row`'s f32
+    /// columns, in schema order.
+    fn convert(&self, rec: &[u8], row: &mut [f32]) {
+        for run in &self.runs {
+            let cells = &rec[run.offset..run.offset + run.columns * run.ty.width()];
+            let out = &mut row[run.column..run.column + run.columns];
+            // One arm per type, so each run's loop converts a single type.
+            match run.ty {
+                ColumnType::Float4 => convert_run(ColumnType::Float4, cells, out),
+                ColumnType::Float8 => convert_run(ColumnType::Float8, cells, out),
+                ColumnType::Int4 => convert_run(ColumnType::Int4, cells, out),
+                ColumnType::Int8 => convert_run(ColumnType::Int8, cells, out),
+            }
         }
-        row.finish();
-        Ok(())
-    }
-
-    /// Converts one cleansed record (user-data bytes) into f32 columns.
-    fn convert_record(&self, rec: &[u8]) -> StriderResult<ExtractedTuple> {
-        self.check_record_len(rec)?;
-        let mut values = Vec::with_capacity(self.schema.len());
-        let mut off = 0usize;
-        for col in self.schema.columns() {
-            let w = col.ty.width();
-            values.push(convert_cell(col.ty, &rec[off..off + w]));
-            off += w;
-        }
-        Ok(ExtractedTuple { values })
     }
 
     /// Extracts an entire heap file into one flat batch, producing tuples
@@ -307,7 +374,7 @@ impl AccessEngine {
 mod tests {
     use super::*;
     use dana_storage::page::TupleDirection;
-    use dana_storage::{HeapFileBuilder, Tuple};
+    use dana_storage::{HeapFileBuilder, HeapPage, Tuple};
 
     fn heap_with(n: usize, features: usize) -> HeapFile {
         let schema = Schema::training(features);
@@ -425,6 +492,28 @@ mod tests {
         let engine = engine_for(&heap, 1);
         let (_, stats) = engine.extract_heap(&heap).unwrap();
         assert_eq!(stats.conversion_cycles, 10 * 7); // 6 features + label
+    }
+
+    #[test]
+    fn empty_page_yields_no_records_and_no_cycles() {
+        for dir in [TupleDirection::Ascending, TupleDirection::Descending] {
+            let schema = Schema::training(4);
+            let mut b = HeapFileBuilder::new(schema, 8 * 1024, dir).unwrap();
+            b.insert(&Tuple::training(&[1.0; 4], 1.0)).unwrap();
+            let engine = engine_for(&b.finish(), 1);
+            let mut page = HeapPage::new(*engine.layout());
+            page.seal();
+            let page = page.as_bytes();
+            // The do-while walk alone would emit the header as a record.
+            assert_eq!(engine.machine.run(page).unwrap().len(), 1);
+
+            let mut batch = TupleBatch::new(5);
+            assert_eq!(engine.extract_page_into(page, &mut batch), Ok(0));
+            let filtered = engine.extract_page_filtered_into(page, &mut batch, None, |_| true);
+            assert_eq!(filtered, Ok(0));
+            assert!(batch.is_empty(), "{dir:?}");
+            assert_eq!(engine.extract_page_rows(page), Ok((Vec::new(), 0)));
+        }
     }
 
     #[test]

@@ -89,14 +89,22 @@ pub fn strider_program_for_layout(layout: &PageLayoutDesc) -> (Vec<Instr>, [u64;
 /// the interpreter. Matches [`crate::machine::StriderMachine`]'s cycle
 /// accounting exactly (tests enforce this).
 pub fn estimated_cycles_per_page(layout: &PageLayoutDesc, tuples: u64) -> u64 {
+    page_walk_cycles(
+        layout.tuple_bytes as u64,
+        layout.tuple_data_bytes() as u64,
+        tuples,
+    )
+}
+
+/// [`estimated_cycles_per_page`] in terms of the walk's two widths — the
+/// figure the compiled page walk ([`crate::kernel`]) charges.
+pub(crate) fn page_walk_cycles(tuple_bytes: u64, data_bytes: u64, tuples: u64) -> u64 {
     // Header processing: readB(2B)=1, readB(4B)=1, extrB=1, ad, ad — plus
     // the one-time bentr.
     let header = 6u64;
     // Loop body per tuple: readB (1 + extra words), cln, writeB (1 + extra
     // words of the cleansed data), ad, ad, bexit.
-    let tuple_words = (layout.tuple_bytes as u64).div_ceil(8);
-    let data_words = (layout.tuple_data_bytes() as u64).div_ceil(8);
-    let per_tuple = tuple_words + 1 + data_words + 3;
+    let per_tuple = tuple_bytes.div_ceil(8) + 1 + data_bytes.div_ceil(8) + 3;
     header + tuples * per_tuple
 }
 
@@ -180,8 +188,7 @@ mod tests {
 
     #[test]
     fn cycle_estimate_matches_interpreter_exactly() {
-        for (n, features) in [(10, 4), (100, 10), (127, 10), (60, 33)] {
-            let heap = build_heap(TupleDirection::Ascending, n, features);
+        let assert_matches = |heap: &dana_storage::HeapFile, label: &str| {
             let (prog, config) = strider_program_for_layout(heap.layout());
             let machine = StriderMachine::new(prog, config);
             for p in 0..heap.page_count() {
@@ -190,9 +197,21 @@ mod tests {
                 let est = estimated_cycles_per_page(heap.layout(), run.len() as u64);
                 assert_eq!(
                     run.cycles, est,
-                    "estimator must match interpreter ({n} tuples, {features} features)"
+                    "estimator must match interpreter ({label})"
                 );
             }
+        };
+        for dir in [TupleDirection::Ascending, TupleDirection::Descending] {
+            for (n, features) in [(10, 4), (100, 10), (127, 10), (60, 33)] {
+                let heap = build_heap(dir, n, features);
+                assert_matches(&heap, &format!("{dir:?}, {n} tuples, {features} features"));
+            }
+            // Mixed-width columns: the 16-byte rating record.
+            let mut b = HeapFileBuilder::new(Schema::rating(), 8 * 1024, dir).unwrap();
+            for k in 0..700 {
+                b.insert(&Tuple::rating(k, k * 7, k as f32 * 0.5)).unwrap();
+            }
+            assert_matches(&b.finish(), &format!("{dir:?}, rating"));
         }
     }
 

@@ -18,7 +18,12 @@
 //!   [`dana_storage::PageLayoutDesc`] (ascending or descending tuple
 //!   placement, any supported page size);
 //! * [`machine`] — a cycle-accurate interpreter: one instruction per cycle,
-//!   wide reads/writes pay one cycle per 8 bytes of data moved;
+//!   wide reads/writes pay one cycle per 8 bytes of data moved. It is the
+//!   cycle model's reference;
+//! * [`kernel`] — the generated walk compiled to a straight-line page walk
+//!   that yields each tuple's user data straight from the page bytes and
+//!   charges the interpreter's exact cycles. It is the extraction hot
+//!   path; any page it declines runs on the interpreter;
 //! * [`access_engine`] — the multi-Strider access engine (Fig. 5): page
 //!   buffers, AXI streaming, float conversion of extracted columns, and the
 //!   per-page cycle accounting the runtime overlaps with compute.
@@ -28,6 +33,7 @@ pub mod asm;
 pub mod codegen;
 pub mod error;
 pub mod isa;
+pub mod kernel;
 pub mod machine;
 
 pub use access_engine::{AccessEngine, AccessEngineConfig, AccessStats, ExtractedTuple};
@@ -35,4 +41,5 @@ pub use asm::{assemble, disassemble};
 pub use codegen::strider_program_for_layout;
 pub use error::{StriderError, StriderResult};
 pub use isa::{Instr, Opcode, Operand, Reg};
+pub use kernel::PageWalk;
 pub use machine::{StriderMachine, StriderRun};

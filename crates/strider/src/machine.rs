@@ -21,7 +21,7 @@ use crate::isa::{Instr, Opcode, Operand};
 /// Records are stored flat — one contiguous byte buffer plus per-record
 /// end offsets — matching the hardware's output FIFO and keeping the run
 /// to O(1) allocations regardless of the page's tuple count.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StriderRun {
     /// All extracted records' bytes (one per `writeB 0`), back to back in
     /// extraction order — the cleansed user-data bytes of each tuple.

@@ -305,6 +305,46 @@ fn opt_in_trace_matches_explain_analyze_shape() {
     srv.shutdown();
 }
 
+/// The `scan` stage carries the page sources' measured wall time on both
+/// facades, serial and ganged, for training and scoring alike — so a
+/// traced query shows where its extraction time went.
+#[test]
+fn scan_stage_carries_measured_wall_time() {
+    let spec = spec_for(Algorithm::Logistic);
+    let scan_wall = |label: &str, trace: &QueryTrace| {
+        let scan = trace.stage("scan").expect("scan stage");
+        assert!(scan.wall_seconds > 0.0, "{label}: scan has no wall time");
+        assert!(
+            scan.wall_seconds <= trace.total_wall_seconds,
+            "{label}: scan wall exceeds the query's"
+        );
+    };
+    let mut db = fresh_dana();
+    db.create_table("t", heap_for(Algorithm::Logistic, 900))
+        .unwrap();
+    db.deploy(&spec, "t").unwrap();
+    let srv = fresh_server(2);
+    srv.create_table("t", heap_for(Algorithm::Logistic, 900))
+        .unwrap();
+    srv.deploy(&spec, "t").unwrap();
+    let session = srv.open_session("scan-wall");
+    for sql in [
+        "EXECUTE dana.logisticR('t') WITH (backend = fpga, trace = on);",
+        "EXECUTE dana.logisticR('t') WITH (backend = fpga, shards = 2, trace = on);",
+        "EVALUATE dana.logisticR('t') WITH (trace = on);",
+        "EVALUATE dana.logisticR('t') WITH (shards = 2, trace = on);",
+    ] {
+        let (_, trace) = db.execute_statement_traced(sql).unwrap();
+        scan_wall(&format!("serial: {sql}"), &trace.expect("trace = on"));
+        let reply = srv.call(session, QueryRequest::Sql(sql.into())).unwrap();
+        scan_wall(
+            &format!("server: {sql}"),
+            reply.trace.as_ref().expect("trace = on"),
+        );
+    }
+    srv.shutdown();
+}
+
 /// `SHOW STATS` pool and queue gauges must equal — not approximate —
 /// the values the typed `pool_utilization()` / `queue_stats()` APIs
 /// report for the same scenario.
