@@ -18,7 +18,9 @@ use dana_dsl::zoo::{linear_regression, logistic_regression, DenseParams};
 use dana_engine::{ExecutionEngine, ModelStore};
 use dana_hdfg::translate;
 use dana_storage::page::TupleDirection;
-use dana_storage::{BufferPool, BufferPoolConfig, DiskModel, HeapFileBuilder, PageId, TupleBatch};
+use dana_storage::{
+    BufferPoolConfig, DiskModel, HeapFileBuilder, PageId, SharedBufferPool, TupleBatch,
+};
 use dana_strider::{AccessEngine, AccessEngineConfig};
 use dana_workloads::{generate, workload};
 
@@ -204,8 +206,9 @@ fn scheduler_cost(c: &mut Criterion) {
 fn bufferpool_hit_path(c: &mut Criterion) {
     let w = workload("Patient").unwrap().scaled(0.02);
     let table = generate(&w, 32 * 1024, 2).unwrap();
-    let mut pool = BufferPool::new(BufferPoolConfig {
-        pool_bytes: (table.heap.page_count() as u64 + 2) * 32 * 1024,
+    // Twice the table: every shard holds its share of the pages.
+    let pool = SharedBufferPool::new(BufferPoolConfig {
+        pool_bytes: table.heap.page_count() as u64 * 2 * 32 * 1024,
         page_size: 32 * 1024,
     });
     pool.prewarm(dana_storage::HeapId(0), &table.heap).unwrap();
@@ -214,15 +217,14 @@ fn bufferpool_hit_path(c: &mut Criterion) {
     c.bench_function("bufferpool_scan_hits", |b| {
         b.iter(|| {
             for page_no in 0..pages {
-                let (f, _) = pool
+                let (bytes, _) = pool
                     .fetch(
                         PageId::new(dana_storage::HeapId(0), page_no),
                         &table.heap,
                         &disk,
                     )
                     .unwrap();
-                black_box(pool.frame_bytes(f).len());
-                pool.unpin(f);
+                black_box(bytes.len());
             }
         })
     });

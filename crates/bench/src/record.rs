@@ -109,7 +109,7 @@ impl BenchRecord {
 /// Workspace-root path of a bench series file, e.g.
 /// `series_path("engine")` → `<root>/BENCH_engine.json`.
 ///
-/// The root is resolved at run time as the [`workspace_root`] of the
+/// The root is resolved at run time as the `workspace_root` of the
 /// working directory (`cargo bench` runs a bench from its package
 /// directory, `cargo run` from where it was invoked), so a build copied
 /// to another tree writes that tree's series, never the one it was

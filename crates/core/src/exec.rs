@@ -415,7 +415,7 @@ pub fn access_engine_for(heap: &HeapFile, budget: ResourceBudget, fpga: &FpgaSpe
 // ---- pushdown scan plumbing (shared by both facades) ---------------------
 
 /// Resolves a statement's optional `WHERE`/`COLUMNS` spec into the
-/// [`ScanState`] the page sources consume: `None` for no spec or a
+/// [`ScanState`](crate::ScanState) the page sources consume: `None` for no spec or a
 /// trivial one (plain full scans never touch the sidecar), otherwise the
 /// spec bound to the heap's schema plus the table's compressed sidecar —
 /// built on first use and cached on the catalog entry's runtime slot, so

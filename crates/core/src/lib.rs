@@ -73,7 +73,7 @@ pub use report::{
     StatementOutcome,
 };
 pub use runtime::ExecutionMode;
-pub use source::{FeedKind, PageStreamSource, ScanState, SharedPageStreamSource};
+pub use source::{shard_sources, FeedKind, ScanState, ShardSource, SharedPageStreamSource};
 
 /// One-stop imports for examples and tests.
 pub mod prelude {

@@ -11,38 +11,40 @@
 //! 3. the returned [`DanaReport`] carries the trained model and the
 //!    simulated end-to-end timing with the pipeline-overlap semantics of
 //!    [`crate::runtime`].
+//!
+//! The buffer pool is the sharded [`SharedBufferPool`] and every scan
+//! streams through [`SharedPageStreamSource`] — the storage stack the
+//! serving tier's `SystemCore` runs on — so a gang's members stream their
+//! page ranges concurrently here too ([`shard_sources`]).
 
 use dana_compiler::{
     compile, compile_with_threads, CompileInput, CompiledAccelerator, PerfEstimate,
 };
-use dana_engine::{BackendKind, EngineError, ExecutionBackend, ModelStore};
+use dana_engine::{BackendKind, ExecutionBackend, ModelStore};
 use dana_fpga::FpgaSpec;
 use dana_hdfg::translate;
 use dana_infer::MetricKind;
 use dana_ml::CpuModel;
-use dana_parallel::{
-    evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources, train_gang,
-    ReplaySource, ShardPlan,
-};
+use dana_parallel::{evaluate_gang, score_gang_concat, train_gang};
 use dana_scan::ScanSpec;
 use dana_storage::{
-    AcceleratorEntry, BufferPool, BufferPoolConfig, Catalog, DiskModel, HeapFile, HeapId, PageId,
-    Tuple,
+    AcceleratorEntry, BufferPoolConfig, Catalog, DiskModel, HeapFile, HeapId, PageId,
+    SharedBufferPool, Tuple,
 };
-use dana_strider::{disassemble, AccessEngine, AccessStats};
+use dana_strider::disassemble;
 
 use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatEntry, StatsSnapshot};
 
 use crate::advisor::{BackendChoice, HardwareProfile, StrategyComparison};
 use crate::error::{DanaError, DanaResult};
-use crate::exec::{self, ArtifactBlob, RunArtifacts, ShardArtifacts};
+use crate::exec::{self, ArtifactBlob, RunArtifacts};
 use crate::query::{parse_query, parse_statement, QueryCall, Statement};
 use crate::report::{
     AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryOutcome,
-    Seconds, StatementOutcome,
+    StatementOutcome,
 };
 use crate::runtime::ExecutionMode;
-use crate::source::{FeedKind, PageStreamSource, ScanState};
+use crate::source::{shard_sources, FeedKind, ShardSource, SharedPageStreamSource};
 
 pub use crate::exec::CPU_FEED_HANDSHAKE_S;
 
@@ -76,7 +78,8 @@ pub struct DeployInfo {
 /// The DAnA-enhanced database system.
 pub struct Dana {
     catalog: Catalog,
-    pool: BufferPool,
+    /// The same sharded pool the serving tier's `SystemCore` runs on.
+    pool: SharedBufferPool,
     disk: DiskModel,
     fpga: FpgaSpec,
     cpu: CpuModel,
@@ -102,7 +105,7 @@ impl Dana {
             .with_offload_threshold(Some(0));
         Dana {
             catalog: Catalog::new(),
-            pool: BufferPool::new(pool),
+            pool: SharedBufferPool::new(pool),
             disk,
             fpga,
             cpu: CpuModel::i7_6700(),
@@ -215,19 +218,16 @@ impl Dana {
     /// materialized prediction table derived from it stale (evicting
     /// their pages too — stale rows must not occupy frames).
     pub fn drop_table(&mut self, name: &str) -> DanaResult<DropSummary> {
-        // Evict before touching the catalog so a pinned-page refusal
-        // leaves the table fully intact.
-        let heap_id = self.catalog.table(name)?.heap_id;
-        let mut pages_evicted = self.pool.evict_heap(heap_id)?;
+        let heap_id = self.catalog.drop_table(name)?.heap_id;
+        let invalidated_udfs = self.catalog.invalidate_accelerators_for(name);
         // Compressed sidecar frames live under the heap's shadow id; a
         // drop must leave neither raw nor compressed pages resident.
-        pages_evicted += self.pool.evict_heap(heap_id.shadow())?;
-        self.catalog.drop_table(name)?;
-        let invalidated_udfs = self.catalog.invalidate_accelerators_for(name);
+        let pages_evicted =
+            self.pool.evict_heap_force(heap_id) + self.pool.evict_heap_force(heap_id.shadow());
         let mut stale_prediction_tables = Vec::new();
         for (table, derived_heap) in self.catalog.invalidate_derived_for(name) {
-            self.pool.evict_heap(derived_heap)?;
-            self.pool.evict_heap(derived_heap.shadow())?;
+            self.pool.evict_heap_force(derived_heap);
+            self.pool.evict_heap_force(derived_heap.shadow());
             stale_prediction_tables.push(table);
         }
         self.metrics
@@ -679,13 +679,14 @@ impl Dana {
         let state = exec::scan_state(table_entry, heap, scan)?;
         let mut store = ModelStore::new(design, exec::initial_models(design))?;
         let feed = FeedKind::for_mode(ExecutionMode::Strider);
-        let base = PageStreamSource::new(&mut self.pool, &self.disk, heap, heap_id, &access, feed);
+        let base =
+            SharedPageStreamSource::new(&self.pool, &self.disk, heap, heap_id, &access, feed);
         let mut source = match &state {
             Some(s) => base.with_scan(s.clone()),
             None => base,
         };
         let run = cached.cpu.run_training(&mut source, &mut store)?;
-        let access_stats = source.into_stats();
+        let (access_stats, _) = source.into_stats();
         if let Some(s) = &state {
             exec::record_scan_metrics(&self.metrics, &access_stats, &s.sidecar, heap.tuple_count());
         }
@@ -702,12 +703,8 @@ impl Dana {
     /// models merge deterministically at every epoch boundary (weighted
     /// averaging for dense analytics, factor-row ownership for LRMF), and
     /// the merged model trains the next epoch. `shards = 1` is
-    /// bit-identical to [`Dana::run_udf`].
-    ///
-    /// The serial facade owns a `&mut` buffer pool, so shard extraction
-    /// happens up front (each range streamed once, charged exactly like a
-    /// first scan) and the gang trains from replaying shard caches — the
-    /// simulated timing still models the gang's critical path.
+    /// bit-identical to [`Dana::run_udf`]. The members stream their page
+    /// ranges through the shared pool concurrently, as in `SystemCore`.
     pub fn run_udf_sharded(
         &mut self,
         udf: &str,
@@ -795,8 +792,8 @@ impl Dana {
         let heap = self.catalog.heap(heap_id)?;
         let access = exec::access_engine_for(heap, budget, &self.fpga);
         let state = exec::scan_state(entry, heap, scan)?;
-        let (mut sources, scans) = shard_replay_sources(
-            &mut self.pool,
+        let mut sources = shard_sources(
+            &self.pool,
             &self.disk,
             heap,
             heap_id,
@@ -806,17 +803,11 @@ impl Dana {
             state.as_ref(),
             &self.metrics,
         )?;
-        let init = exec::initial_models(design);
-        let outcome = train_gang(engine, &mut sources, init)?;
-        let arts = outcome
-            .shard_stats
-            .iter()
-            .zip(&scans)
-            .map(|(stats, (access_stats, io_first))| ShardArtifacts {
-                engine_stats: *stats,
-                access_stats: *access_stats,
-                io_first: *io_first,
-            })
+        let outcome = train_gang(engine, &mut sources, exec::initial_models(design))?;
+        let arts = sources
+            .into_iter()
+            .zip(&outcome.shard_stats)
+            .map(|(src, stats)| src.into_artifacts(*stats))
             .collect();
         exec::assemble_gang_report(
             mode,
@@ -825,7 +816,7 @@ impl Dana {
             &self.fpga,
             &self.cpu,
             &self.disk,
-            self.pool.config().frames(),
+            self.pool.frames(),
             heap,
             arts,
             outcome.merge_cycles,
@@ -948,10 +939,10 @@ impl Dana {
         Ok(predictions)
     }
 
-    /// The one sharded scoring scan: plan page ranges, extract each range
-    /// into a replaying shard source, run `scan` (scoring or metric fold)
-    /// over the gang, and compose the gang timing. Shared by
-    /// predict/evaluate/score so the shard plumbing exists exactly once.
+    /// The one sharded scoring scan: open the gang's shard sources, run
+    /// `run` (scoring or metric fold) over them, and compose the gang
+    /// timing. Shared by predict/evaluate/score so the shard plumbing
+    /// exists exactly once.
     fn sharded_scoring_scan<R>(
         &mut self,
         setup: &exec::ScoringSetup,
@@ -961,7 +952,7 @@ impl Dana {
         run: impl FnOnce(
             &dana_infer::ScoringProgram,
             u16,
-            &mut [ReplaySource],
+            &mut [ShardSource<'_>],
         ) -> DanaResult<(R, Vec<dana_infer::ScoringStats>)>,
     ) -> DanaResult<(R, crate::report::DanaTiming, dana_infer::ScoringStats, u16)> {
         let mode = ExecutionMode::Strider;
@@ -970,8 +961,8 @@ impl Dana {
         let heap = self.catalog.heap(heap_id)?;
         let access = exec::access_engine_for(heap, setup.cached.budget, &self.fpga);
         let state = exec::scan_state(entry, heap, scan)?;
-        let (mut sources, scans) = shard_replay_sources(
-            &mut self.pool,
+        let mut sources = shard_sources(
+            &self.pool,
             &self.disk,
             heap,
             heap_id,
@@ -983,13 +974,9 @@ impl Dana {
         )?;
         let shard_count = sources.len() as u16;
         let (result, stats) = run(&setup.program, setup.lanes, &mut sources)?;
-        let arts: Vec<ShardArtifacts> = scans
+        let arts: Vec<_> = sources
             .into_iter()
-            .map(|(access_stats, io_first)| ShardArtifacts {
-                engine_stats: Default::default(),
-                access_stats,
-                io_first,
-            })
+            .map(|src| src.into_artifacts(Default::default()))
             .collect();
         let (timing, combined) = exec::assemble_gang_scoring_timing(
             mode,
@@ -997,7 +984,7 @@ impl Dana {
             &self.fpga,
             &self.cpu,
             &self.disk,
-            self.pool.config().frames(),
+            self.pool.frames(),
             heap,
             &arts,
             &stats,
@@ -1265,7 +1252,7 @@ impl Dana {
         run: impl FnOnce(
             &dana_infer::ScoringProgram,
             u16,
-            &mut PageStreamSource<'_>,
+            &mut SharedPageStreamSource<'_>,
         ) -> dana_infer::InferResult<(R, dana_infer::ScoringStats)>,
     ) -> DanaResult<(R, dana_infer::ScoringStats, crate::report::DanaTiming)> {
         let entry = self.catalog.live_table(table)?;
@@ -1273,9 +1260,9 @@ impl Dana {
         let heap = self.catalog.heap(heap_id)?;
         let access = exec::access_engine_for(heap, setup.cached.budget, &self.fpga);
         let state = exec::scan_state(entry, heap, scan)?;
-        let io_before = self.pool.stats().io_seconds;
         let feed = FeedKind::for_mode(mode);
-        let base = PageStreamSource::new(&mut self.pool, &self.disk, heap, heap_id, &access, feed);
+        let base =
+            SharedPageStreamSource::new(&self.pool, &self.disk, heap, heap_id, &access, feed);
         let mut stream = match &state {
             Some(s) => base.with_scan(s.clone()),
             None => base,
@@ -1283,11 +1270,10 @@ impl Dana {
         let start = std::time::Instant::now();
         let (result, stats) = run(&setup.program, setup.lanes, &mut stream)?;
         let wall = start.elapsed().as_secs_f64();
-        let access_stats = stream.into_stats();
+        let (access_stats, io_first) = stream.into_stats();
         if let Some(s) = &state {
             exec::record_scan_metrics(&self.metrics, &access_stats, &s.sidecar, heap.tuple_count());
         }
-        let io_first = self.pool.stats().io_seconds - io_before;
         let timing = match backend {
             BackendKind::Cpu => {
                 exec::record_cpu_spans(&self.rec, wall);
@@ -1299,7 +1285,7 @@ impl Dana {
                 &self.fpga,
                 &self.cpu,
                 &self.disk,
-                self.pool.config().frames(),
+                self.pool.frames(),
                 heap,
                 &access_stats,
                 io_first,
@@ -1369,7 +1355,6 @@ impl Dana {
         let heap = self.catalog.heap(heap_id)?;
         let access = exec::access_engine_for(heap, budget, &self.fpga);
         let state = exec::scan_state(entry, heap, scan)?;
-        let pool = &mut self.pool;
 
         // ---- compute path, fed by the streaming data path ---------------
         // The shared, deploy-time-built engine pulls flat batches
@@ -1377,22 +1362,20 @@ impl Dana {
         // or CPU, per mode) → train interleave with no full-table
         // materialization (Fig. 2).
         let mut store = ModelStore::new(design, exec::initial_models(design))?;
-        let io_before = pool.stats().io_seconds;
         let feed = FeedKind::for_mode(mode);
-        let base = PageStreamSource::new(pool, &self.disk, heap, heap_id, &access, feed);
+        let base =
+            SharedPageStreamSource::new(&self.pool, &self.disk, heap, heap_id, &access, feed);
         let mut source = match &state {
             Some(s) => base.with_scan(s.clone()),
             None => base,
         };
         let (stats, epoch_cycles) = engine.run_training_logged(&mut source, &mut store)?;
-        let access_stats = source.into_stats();
+        let (access_stats, io_first) = source.into_stats();
         if let Some(s) = &state {
             exec::record_scan_metrics(&self.metrics, &access_stats, &s.sidecar, heap.tuple_count());
         }
-        let io_first = pool.stats().io_seconds - io_before;
 
         // ---- timing composition (shared with the serving tier) -----------
-        let pool_frames = pool.config().frames();
         Ok(exec::assemble_report(
             mode,
             design,
@@ -1400,7 +1383,7 @@ impl Dana {
             &self.fpga,
             &self.cpu,
             &self.disk,
-            pool_frames,
+            self.pool.frames(),
             heap,
             RunArtifacts {
                 engine_stats: stats,
@@ -1433,16 +1416,16 @@ impl Dana {
         let entry = self.catalog.live_table(table)?;
         let heap_id = entry.heap_id;
         let heap = self.catalog.heap(heap_id)?;
-        let pool = &mut self.pool;
         let access = exec::access_engine_for(heap, acc.budget, &self.fpga);
 
         // Full-table materialization: one heap allocation per tuple.
         let mut tuples: Vec<Vec<f32>> = Vec::with_capacity(heap.tuple_count() as usize);
         for page_no in 0..heap.page_count() {
-            let (frame, _) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
-            let bytes = pool.frame_bytes(frame);
+            let (bytes, _) = self
+                .pool
+                .fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
             if mode.uses_striders() {
-                let (page_tuples, _) = access.extract_page_rows(bytes)?;
+                let (page_tuples, _) = access.extract_page_rows(&bytes)?;
                 tuples.extend(page_tuples.into_iter().map(|t| t.values));
             } else {
                 let page = dana_storage::HeapPage::from_bytes(bytes.to_vec(), *heap.layout())?;
@@ -1451,81 +1434,12 @@ impl Dana {
                     tuples.push(t.values.iter().map(|d| d.as_f32()).collect());
                 }
             }
-            pool.unpin(frame);
         }
 
         let mut store = ModelStore::new(&acc.design, exec::initial_models(&acc.design))?;
         acc.engine.run_training_rows(&tuples, &mut store)?;
         Ok(store.into_values())
     }
-}
-
-/// One shard's first-scan measurements: extraction stats plus the disk
-/// seconds the scan was charged.
-type ShardScan = (AccessStats, Seconds);
-
-/// Extracts every shard's page range once through the serial buffer pool
-/// (identical fetch → extract sequence and per-page batch boundaries to a
-/// streaming first scan, with its disk seconds metered per shard) and
-/// wraps the batches as replaying gang sources.
-///
-/// With a pushdown scan attached the whole table is streamed **once**
-/// through the filter, and the surviving tuples are re-split at the page
-/// boundaries a pre-materialized filtered table would have — so shard
-/// contents (and therefore the gang's merged models) are bit-identical to
-/// sharding that table, and the shard count never exceeds its page count.
-#[allow(clippy::too_many_arguments)]
-fn shard_replay_sources(
-    pool: &mut BufferPool,
-    disk: &DiskModel,
-    heap: &HeapFile,
-    heap_id: HeapId,
-    access: &AccessEngine,
-    feed: FeedKind,
-    requested: usize,
-    scan: Option<&ScanState>,
-    metrics: &MetricsRegistry,
-) -> DanaResult<(Vec<ReplaySource>, Vec<ShardScan>)> {
-    let Some(state) = scan else {
-        let plan = ShardPlan::new(heap, requested);
-        let width = heap.schema().len();
-        let mut sources = Vec::with_capacity(plan.shards());
-        let mut scans = Vec::with_capacity(plan.shards());
-        for r in plan.ranges() {
-            let io_before = pool.stats().io_seconds;
-            let src = PageStreamSource::with_range(
-                pool,
-                disk,
-                heap,
-                heap_id,
-                access,
-                feed,
-                r.start_page,
-                r.end_page,
-            );
-            let (batches, stats) = src
-                .into_cache()
-                .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
-            let io_first = pool.stats().io_seconds - io_before;
-            sources.push(ReplaySource::new(width, batches));
-            scans.push((stats, io_first));
-        }
-        return Ok((sources, scans));
-    };
-    let io_before = pool.stats().io_seconds;
-    let src =
-        PageStreamSource::new(pool, disk, heap, heap_id, access, feed).with_scan(state.clone());
-    let (batches, stats) = src
-        .into_cache()
-        .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
-    let io_first = pool.stats().io_seconds - io_before;
-    exec::record_scan_metrics(metrics, &stats, &state.sidecar, heap.tuple_count());
-    let capacity = exec::packed_page_capacity(heap, &state.spec)?;
-    let splits = packed_tuple_splits(stats.tuples, capacity, requested);
-    let width = state.spec.output_width(heap.schema().len());
-    let sources = split_replay_sources(width, &batches, &splits);
-    let scans = exec::split_filtered_scan_stats(&stats, io_first, &splits);
-    Ok((sources, scans))
 }
 
 #[cfg(test)]

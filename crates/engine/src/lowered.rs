@@ -128,7 +128,7 @@ pub enum LoweredModelWrite {
 /// The deploy-time lowering artifact: everything the runtime loop needs,
 /// pre-resolved. Produced once by [`lower`] (at compile/deploy), carried
 /// through the catalog inside the accelerator's artifact blob, and
-/// executed by [`LoweredProgram::run_streaming`].
+/// executed by its streaming loop (`LoweredProgram::run_streaming`).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LoweredProgram {
     /// Architectural words per thread (`aus × slots_per_au`).

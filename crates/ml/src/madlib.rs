@@ -8,7 +8,7 @@
 //! pages DAnA's Striders walk; its simulated runtime combines buffer-pool
 //! I/O accounting with the calibrated per-tuple CPU cost model.
 
-use dana_storage::{BufferPool, DiskModel, HeapFile, HeapId, PageId, PageView, TupleBatch};
+use dana_storage::{DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, TupleBatch};
 
 use crate::algorithms::{train_reference, TrainConfig, TrainedModel};
 use crate::cpu::{CpuModel, Seconds};
@@ -42,11 +42,14 @@ impl MadlibExecutor {
         &self.cpu
     }
 
-    /// Trains over `heap` through `pool`. Warm/cold cache is the caller's
-    /// choice (prewarm or clear the pool first, §7's two settings).
+    /// Trains over `heap` through `pool` — the same [`SharedBufferPool`]
+    /// DAnA's Striders read from. Warm/cold cache is the caller's choice
+    /// (prewarm or clear the pool first, §7's two settings). The I/O
+    /// charged is the pool's statistics delta across the run, so the pool
+    /// must not serve other scans meanwhile.
     pub fn train(
         &self,
-        pool: &mut BufferPool,
+        pool: &SharedBufferPool,
         heap_id: HeapId,
         heap: &HeapFile,
         cfg: &TrainConfig,
@@ -60,17 +63,11 @@ impl MadlibExecutor {
             TupleBatch::with_capacity(heap.schema().len(), heap.tuple_count() as usize);
         for epoch in 0..cfg.epochs.max(1) {
             for page_no in 0..heap.page_count() {
-                let (frame, _io) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
-                let deformed = if epoch == 0 {
-                    PageView::new(pool.frame_bytes(frame), *heap.layout())
-                        .and_then(|view| view.deform_all_into(heap.schema(), &mut tuples))
-                } else {
-                    Ok(())
-                };
-                // Unpin before propagating: a corrupt page must not pin
-                // its frame forever.
-                pool.unpin(frame);
-                deformed?;
+                let (bytes, _io) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
+                if epoch == 0 {
+                    PageView::new(&bytes, *heap.layout())?
+                        .deform_all_into(heap.schema(), &mut tuples)?;
+                }
             }
         }
         let model = train_reference(&tuples, cfg);
@@ -152,17 +149,22 @@ mod tests {
         b.finish()
     }
 
-    fn pool_for(heap: &HeapFile) -> BufferPool {
-        BufferPool::new(BufferPoolConfig {
-            pool_bytes: (heap.page_count() as u64 + 4) * 8 * 1024,
-            page_size: 8 * 1024,
-        })
+    /// One shard: a single clock over every frame, so "the table fits"
+    /// holds page for page.
+    fn pool_for(heap: &HeapFile) -> SharedBufferPool {
+        SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: (heap.page_count() as u64 + 4) * 8 * 1024,
+                page_size: 8 * 1024,
+            },
+            1,
+        )
     }
 
     #[test]
     fn trains_a_usable_model() {
         let heap = heap(400, 6);
-        let mut pool = pool_for(&heap);
+        let pool = pool_for(&heap);
         let exec = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd());
         let cfg = TrainConfig {
             epochs: 40,
@@ -170,7 +172,7 @@ mod tests {
             batch: 1,
             ..Default::default()
         };
-        let report = exec.train(&mut pool, HeapId(1), &heap, &cfg).unwrap();
+        let report = exec.train(&pool, HeapId(1), &heap, &cfg).unwrap();
         let tuples = heap.scan_batch().unwrap();
         let loss = metrics::mse(report.model.as_dense(), &tuples).unwrap();
         assert!(loss < 0.01, "mse {loss}");
@@ -187,14 +189,14 @@ mod tests {
             ..Default::default()
         };
 
-        let mut cold_pool = pool_for(&heap);
-        let cold = exec.train(&mut cold_pool, HeapId(1), &heap, &cfg).unwrap();
+        let cold_pool = pool_for(&heap);
+        let cold = exec.train(&cold_pool, HeapId(1), &heap, &cfg).unwrap();
         assert!(cold.io_seconds > 0.0);
 
-        let mut warm_pool = pool_for(&heap);
+        let warm_pool = pool_for(&heap);
         warm_pool.prewarm(HeapId(1), &heap).unwrap();
         warm_pool.reset_stats();
-        let warm = exec.train(&mut warm_pool, HeapId(1), &heap, &cfg).unwrap();
+        let warm = exec.train(&warm_pool, HeapId(1), &heap, &cfg).unwrap();
         assert_eq!(warm.io_seconds, 0.0);
         assert!(warm.total_seconds < cold.total_seconds);
         // Same data, same math → identical models.
@@ -207,7 +209,7 @@ mod tests {
         let exec = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::instant());
         let one = exec
             .train(
-                &mut pool_for(&heap),
+                &pool_for(&heap),
                 HeapId(1),
                 &heap,
                 &TrainConfig {
@@ -218,7 +220,7 @@ mod tests {
             .unwrap();
         let four = exec
             .train(
-                &mut pool_for(&heap),
+                &pool_for(&heap),
                 HeapId(1),
                 &heap,
                 &TrainConfig {
@@ -238,8 +240,8 @@ mod tests {
             epochs: 3,
             ..Default::default()
         };
-        let mut pool = pool_for(&heap); // big enough: misses only on epoch 1
-        let functional = exec.train(&mut pool, HeapId(1), &heap, &cfg).unwrap();
+        let pool = pool_for(&heap); // big enough: misses only on epoch 1
+        let functional = exec.train(&pool, HeapId(1), &heap, &cfg).unwrap();
         let (cpu, io) = exec.analytic_seconds(
             &cfg,
             heap.tuple_count(),
@@ -276,7 +278,7 @@ mod tests {
             }
         }
         let heap = b.finish();
-        let mut pool = pool_for(&heap);
+        let pool = pool_for(&heap);
         let exec = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::instant());
         let cfg = TrainConfig {
             algorithm: Algorithm::Lrmf,
@@ -285,7 +287,7 @@ mod tests {
             rank: 4,
             ..Default::default()
         };
-        let report = exec.train(&mut pool, HeapId(1), &heap, &cfg).unwrap();
+        let report = exec.train(&pool, HeapId(1), &heap, &cfg).unwrap();
         let tuples = heap.scan_batch().unwrap();
         let rmse = metrics::lrmf_rmse(report.model.as_lrmf(), &tuples).unwrap();
         assert!(rmse < 1.0, "rmse {rmse}");

@@ -142,13 +142,11 @@ pub fn split_replay_sources(
         .collect()
 }
 
-/// A rewindable [`TupleSource`] over pre-extracted batches — the serial
-/// facade's shard source. `Dana` owns a `&mut` buffer pool, so it cannot
-/// run several streaming scans at once; instead it extracts each shard's
-/// page range once (charging I/O and Strider work exactly like a
-/// streaming first pass) and hands the gang these cheap replaying
-/// sources. Batch boundaries stay one-per-page, so the engine sees the
-/// identical stream a live page scan would produce.
+/// A rewindable [`TupleSource`] over pre-extracted batches — the shard
+/// source of a *filtered* gang. Post-filter rows do not fall on page
+/// boundaries, so page ranges cannot partition them; instead the table is
+/// extracted once through the filter and each shard replays its slice
+/// (see [`split_replay_sources`]).
 pub struct ReplaySource {
     batches: Vec<TupleBatch>,
     width: usize,

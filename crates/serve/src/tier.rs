@@ -21,7 +21,7 @@
 //!
 //! Serving counters (hits, misses, invalidations, occupancy, latency,
 //! coalesced dispatches and window skips) land in the core
-//! [`MetricsRegistry`] and surface through `SHOW STATS ('serving')`.
+//! [`MetricsRegistry`](dana_obs::MetricsRegistry) and surface through `SHOW STATS ('serving')`.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -1,4 +1,4 @@
-//! The shared system core: the thread-safe split of `dana::Dana`.
+//! The shared system core: the thread-safe counterpart of `dana::Dana`.
 //!
 //! `Dana` funnels every operation through one `&mut self` — correct for a
 //! single notebook user, useless for a serving tier. [`SystemCore`] is the
@@ -8,7 +8,8 @@
 //!   locks to snapshot (entry, `Arc<HeapFile>`, accelerator blob) and then
 //!   run lock-free; DDL takes the write lock only for the map mutation;
 //! * the **buffer pool** is the sharded [`SharedBufferPool`], fetched
-//!   through `&self`;
+//!   through `&self` — the same pool and page source `Dana` scans
+//!   through, so both facades share one storage stack;
 //! * the **execution engine is never built per query**: DEPLOY compiles,
 //!   validates, and lowers it once, caching `Arc<ExecutionEngine>` (plus
 //!   budget and estimate) on the catalog entry's `RuntimeCache`; EXECUTE
@@ -18,38 +19,36 @@
 //!   borrowing a leased accelerator instance and the shared engine.
 //!
 //! Every numerical path is byte-for-byte the one `Dana` runs — the
-//! compile pipeline, extraction, lowered executor, and
+//! compile pipeline, page source, gang shard split
+//! (`dana::shard_sources`), lowered executor, and
 //! `dana::exec::assemble_report` are shared — which is what the
 //! equivalence suite holds the serving tier to.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use dana::exec::{self, ArtifactBlob, CachedAccelerator, RunArtifacts, ShardArtifacts};
+use dana::exec::{self, ArtifactBlob, CachedAccelerator, RunArtifacts};
 use dana::{
-    AnalyzeReport, BackendKind, DanaError, DanaReport, DanaResult, DeployInfo, DropSummary,
-    EvalReport, ExecutionMode, FeedKind, HardwareProfile, MetricKind, PointCall, PointReport,
-    PredictReport, QueryOutcome, ScanSpec, ScanState, SharedPageStreamSource, Statement,
-    StatementOutcome, StrategyComparison,
+    shard_sources, AnalyzeReport, BackendKind, DanaError, DanaReport, DanaResult, DeployInfo,
+    DropSummary, EvalReport, ExecutionMode, FeedKind, HardwareProfile, MetricKind, PointCall,
+    PointReport, PredictReport, QueryOutcome, ScanSpec, ShardSource, SharedPageStreamSource,
+    Statement, StatementOutcome, StrategyComparison,
 };
 use dana_compiler::{compile, compile_with_threads, CompileInput, CompiledAccelerator};
 use dana_engine::{
-    run_training_guarded, CancelToken, EngineError, ExecutionBackend, FaultEvents, FaultPlan,
-    ModelStore, RetryPolicy, RunGuard,
+    run_training_guarded, CancelToken, ExecutionBackend, FaultEvents, FaultPlan, ModelStore,
+    RetryPolicy, RunGuard,
 };
 use dana_fpga::FpgaSpec;
 use dana_hdfg::translate;
 use dana_ml::CpuModel;
 use dana_obs::{MetricsRegistry, SpanRecorder, StatEntry, StatsSnapshot};
-use dana_parallel::{
-    evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources,
-    train_gang_guarded, GangGuard, ReplaySource, ShardPlan,
-};
+use dana_parallel::{evaluate_gang, score_gang_concat, train_gang_guarded, GangGuard};
 use dana_storage::{
     AcceleratorEntry, BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId,
     RuntimeCache, SharedBufferPool, TableEntry,
 };
-use dana_strider::{disassemble, AccessEngine, AccessStats};
+use dana_strider::disassemble;
 
 /// How to build a [`SystemCore`].
 #[derive(Debug, Clone, Copy)]
@@ -814,62 +813,27 @@ impl SystemCore {
         let design = engine.design();
         let heap_id = entry.heap_id;
         let access = exec::access_engine_for(heap, budget, &self.fpga);
-        let feed = FeedKind::for_mode(mode);
         let state = exec::scan_state(entry, heap, scan)?;
         let fault = self.fault_plan();
         let guard = GangGuard::new(&ctx.cancel).with_fault(fault.as_deref());
-        let (outcome, arts) = match &state {
-            None => {
-                let plan = ShardPlan::new(heap, shards as usize);
-                let mut sources: Vec<SharedPageStreamSource<'_>> = plan
-                    .ranges()
-                    .iter()
-                    .map(|r| {
-                        SharedPageStreamSource::with_range(
-                            &self.pool,
-                            &self.disk,
-                            heap,
-                            heap_id,
-                            &access,
-                            feed,
-                            r.start_page,
-                            r.end_page,
-                        )
-                    })
-                    .collect();
-                let outcome =
-                    train_gang_guarded(engine, &mut sources, exec::initial_models(design), &guard)?;
-                let arts: Vec<ShardArtifacts> = sources
-                    .into_iter()
-                    .zip(&outcome.shard_stats)
-                    .map(|(src, stats)| {
-                        let (access_stats, io_first) = src.into_stats();
-                        ShardArtifacts {
-                            engine_stats: *stats,
-                            access_stats,
-                            io_first,
-                        }
-                    })
-                    .collect();
-                (outcome, arts)
-            }
-            Some(st) => {
-                let (mut sources, scans) =
-                    self.filtered_replay_shards(heap, heap_id, &access, feed, shards, st)?;
-                let outcome =
-                    train_gang_guarded(engine, &mut sources, exec::initial_models(design), &guard)?;
-                let arts: Vec<ShardArtifacts> = scans
-                    .into_iter()
-                    .zip(&outcome.shard_stats)
-                    .map(|((access_stats, io_first), stats)| ShardArtifacts {
-                        engine_stats: *stats,
-                        access_stats,
-                        io_first,
-                    })
-                    .collect();
-                (outcome, arts)
-            }
-        };
+        let mut sources = shard_sources(
+            &self.pool,
+            &self.disk,
+            heap,
+            heap_id,
+            &access,
+            FeedKind::for_mode(mode),
+            shards as usize,
+            state.as_ref(),
+            &self.metrics,
+        )?;
+        let outcome =
+            train_gang_guarded(engine, &mut sources, exec::initial_models(design), &guard)?;
+        let arts = sources
+            .into_iter()
+            .zip(&outcome.shard_stats)
+            .map(|(src, stats)| src.into_artifacts(*stats))
+            .collect();
         if !outcome.faulted_shards.is_empty() {
             self.record_fault_events(
                 &FaultEvents {
@@ -932,26 +896,15 @@ impl SystemCore {
                 dana_storage::StorageError::DuplicateName(dest.to_string()),
             ));
         }
-        let state = exec::scan_state(&entry, &heap, scan)?;
-        let (predictions, stats, timing, k) = match &state {
-            None => self.sharded_scoring_scan(
-                &setup,
-                &entry,
-                &heap,
-                shards,
-                rec,
-                |program, lanes, sources| Ok(score_gang_concat(program, lanes, sources)?),
-            )?,
-            Some(st) => self.sharded_scoring_scan_filtered(
-                &setup,
-                &entry,
-                &heap,
-                shards,
-                st,
-                rec,
-                |program, lanes, sources| Ok(score_gang_concat(program, lanes, sources)?),
-            )?,
-        };
+        let (predictions, stats, timing, k) = self.sharded_scoring_scan(
+            &setup,
+            &entry,
+            &heap,
+            shards,
+            scan,
+            rec,
+            |program, lanes, sources| Ok(score_gang_concat(program, lanes, sources)?),
+        )?;
         let mat_start = std::time::Instant::now();
         let out_heap = exec::materialize_predictions(&entry, &heap, scan, &predictions)?;
         {
@@ -1008,34 +961,23 @@ impl SystemCore {
         let metric = metric.unwrap_or_else(|| setup.recipe.default_metric());
         setup.recipe.check_metric(metric)?;
         let (entry, heap) = self.snapshot_table(table)?;
-        let state = exec::scan_state(&entry, &heap, scan)?;
-        let fold = |evals: Vec<dana_parallel::ShardEval>| {
-            let mut partial = dana_infer::MetricPartial::default();
-            for e in &evals {
-                partial.absorb(e.partial);
-            }
-            let stats: Vec<_> = evals.iter().map(|e| e.stats).collect();
-            Ok((partial.finish(metric)?, stats))
-        };
-        let (value, stats, timing, k) = match &state {
-            None => self.sharded_scoring_scan(
-                &setup,
-                &entry,
-                &heap,
-                shards,
-                rec,
-                |program, lanes, sources| fold(evaluate_gang(program, lanes, sources, metric)?),
-            )?,
-            Some(st) => self.sharded_scoring_scan_filtered(
-                &setup,
-                &entry,
-                &heap,
-                shards,
-                st,
-                rec,
-                |program, lanes, sources| fold(evaluate_gang(program, lanes, sources, metric)?),
-            )?,
-        };
+        let (value, stats, timing, k) = self.sharded_scoring_scan(
+            &setup,
+            &entry,
+            &heap,
+            shards,
+            scan,
+            rec,
+            |program, lanes, sources| {
+                let evals = evaluate_gang(program, lanes, sources, metric)?;
+                let mut partial = dana_infer::MetricPartial::default();
+                for e in &evals {
+                    partial.absorb(e.partial);
+                }
+                let stats: Vec<_> = evals.iter().map(|e| e.stats).collect();
+                Ok((partial.finish(metric)?, stats))
+            },
+        )?;
         Ok(EvalReport {
             udf: udf.to_string(),
             table: table.to_string(),
@@ -1059,75 +1001,52 @@ impl SystemCore {
             &entry,
             &heap,
             shards,
+            None,
             &SpanRecorder::disabled(),
             |program, lanes, sources| Ok(score_gang_concat(program, lanes, sources)?),
         )?;
         Ok(predictions)
     }
 
-    /// Streams the whole table once through a pushdown scan and re-splits
-    /// the surviving tuples at the page boundaries a pre-materialized
-    /// filtered table would have (see `dana`'s serial twin): shard
-    /// contents — and so gang merges and concatenated scores — are
-    /// bit-identical to sharding that table. Returns replaying shard
-    /// sources plus each shard's share of the scan's measured cost.
-    #[allow(clippy::type_complexity)]
-    fn filtered_replay_shards(
-        &self,
-        heap: &HeapFile,
-        heap_id: HeapId,
-        access: &AccessEngine,
-        feed: FeedKind,
-        shards: u16,
-        state: &ScanState,
-    ) -> DanaResult<(Vec<ReplaySource>, Vec<(AccessStats, f64)>)> {
-        let src = SharedPageStreamSource::new(&self.pool, &self.disk, heap, heap_id, access, feed)
-            .with_scan(state.clone());
-        let (batches, stats, io_first) = src
-            .into_cache()
-            .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
-        exec::record_scan_metrics(&self.metrics, &stats, &state.sidecar, heap.tuple_count());
-        let capacity = exec::packed_page_capacity(heap, &state.spec)?;
-        let splits = packed_tuple_splits(stats.tuples, capacity, shards as usize);
-        let width = state.spec.output_width(heap.schema().len());
-        let sources = split_replay_sources(width, &batches, &splits);
-        let scans = exec::split_filtered_scan_stats(&stats, io_first, &splits);
-        Ok((sources, scans))
-    }
-
-    /// [`SystemCore::sharded_scoring_scan`]'s pushdown twin: the gang
-    /// scores replayed slices of one filtered scan instead of concurrent
-    /// page-range streams (post-filter rows don't align with page
-    /// boundaries, so ranges can't partition them).
+    /// The one gang-parallel scoring scan: open the gang's shard sources
+    /// (concurrent page-range streams, or replayed slices of one filtered
+    /// scan — see [`shard_sources`]), run `run` (scoring or metric fold)
+    /// over them, and compose the gang timing from the critical member.
+    /// Shared by predict/evaluate/score.
     #[allow(clippy::too_many_arguments)]
-    fn sharded_scoring_scan_filtered<R>(
+    fn sharded_scoring_scan<R>(
         &self,
         setup: &exec::ScoringSetup,
         entry: &TableEntry,
         heap: &HeapFile,
         shards: u16,
-        state: &ScanState,
+        scan: Option<&ScanSpec>,
         rec: &SpanRecorder,
         run: impl FnOnce(
             &dana_infer::ScoringProgram,
             u16,
-            &mut [ReplaySource],
+            &mut [ShardSource<'_>],
         ) -> DanaResult<(R, Vec<dana::ScoringStats>)>,
     ) -> DanaResult<(R, dana::ScoringStats, dana::DanaTiming, u16)> {
         let mode = ExecutionMode::Strider;
         let access = exec::access_engine_for(heap, setup.cached.budget, &self.fpga);
-        let feed = FeedKind::for_mode(mode);
-        let (mut sources, scans) =
-            self.filtered_replay_shards(heap, entry.heap_id, &access, feed, shards, state)?;
+        let state = exec::scan_state(entry, heap, scan)?;
+        let mut sources = shard_sources(
+            &self.pool,
+            &self.disk,
+            heap,
+            entry.heap_id,
+            &access,
+            FeedKind::for_mode(mode),
+            shards as usize,
+            state.as_ref(),
+            &self.metrics,
+        )?;
         let k = sources.len() as u16;
         let (result, stats) = run(&setup.program, setup.lanes, &mut sources)?;
-        let arts: Vec<ShardArtifacts> = scans
+        let arts: Vec<_> = sources
             .into_iter()
-            .map(|(access_stats, io_first)| ShardArtifacts {
-                engine_stats: Default::default(),
-                access_stats,
-                io_first,
-            })
+            .map(|src| src.into_artifacts(Default::default()))
             .collect();
         let (timing, combined) = exec::assemble_gang_scoring_timing(
             mode,
@@ -1142,70 +1061,6 @@ impl SystemCore {
             rec,
         );
         Ok((result, combined, timing, k))
-    }
-
-    /// The one gang-parallel scoring scan: plan page ranges, open one
-    /// concurrent shared-pool range stream per shard, run `scan`
-    /// (scoring or metric fold) over the gang, and compose the gang
-    /// timing from the critical member. Shared by predict/evaluate/score.
-    fn sharded_scoring_scan<R>(
-        &self,
-        setup: &exec::ScoringSetup,
-        entry: &TableEntry,
-        heap: &HeapFile,
-        shards: u16,
-        rec: &SpanRecorder,
-        scan: impl FnOnce(
-            &dana_infer::ScoringProgram,
-            u16,
-            &mut [SharedPageStreamSource<'_>],
-        ) -> DanaResult<(R, Vec<dana::ScoringStats>)>,
-    ) -> DanaResult<(R, dana::ScoringStats, dana::DanaTiming, u16)> {
-        let mode = ExecutionMode::Strider;
-        let access = exec::access_engine_for(heap, setup.cached.budget, &self.fpga);
-        let plan = ShardPlan::new(heap, shards as usize);
-        let feed = FeedKind::for_mode(mode);
-        let mut sources: Vec<SharedPageStreamSource<'_>> = plan
-            .ranges()
-            .iter()
-            .map(|r| {
-                SharedPageStreamSource::with_range(
-                    &self.pool,
-                    &self.disk,
-                    heap,
-                    entry.heap_id,
-                    &access,
-                    feed,
-                    r.start_page,
-                    r.end_page,
-                )
-            })
-            .collect();
-        let (result, stats) = scan(&setup.program, setup.lanes, &mut sources)?;
-        let arts: Vec<ShardArtifacts> = sources
-            .into_iter()
-            .map(|src| {
-                let (access_stats, io_first) = src.into_stats();
-                ShardArtifacts {
-                    engine_stats: Default::default(),
-                    access_stats,
-                    io_first,
-                }
-            })
-            .collect();
-        let (timing, combined) = exec::assemble_gang_scoring_timing(
-            mode,
-            setup.cached.budget,
-            &self.fpga,
-            &self.cpu,
-            &self.disk,
-            self.pool.frames(),
-            heap,
-            &arts,
-            &stats,
-            rec,
-        );
-        Ok((result, combined, timing, plan.shards() as u16))
     }
 
     /// Snapshot of the accelerator's artifact blob, with the stale check.

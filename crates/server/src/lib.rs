@@ -6,9 +6,10 @@
 //! that — everything funnels through one `&mut`. This crate is the serving
 //! tier on top of the shared core:
 //!
-//! * [`SystemCore`] — the thread-safe split of `Dana`: `RwLock` catalog,
-//!   sharded [`dana_storage::SharedBufferPool`], per-query execution
-//!   contexts that share every numerical path with the serial facade;
+//! * [`SystemCore`] — the thread-safe counterpart of `Dana`: `RwLock`
+//!   catalog, per-query execution contexts, and the same sharded
+//!   [`dana_storage::SharedBufferPool`] and page source the serial facade
+//!   runs on, sharing every numerical path with it;
 //! * [`SessionManager`] — per-client sessions with query accounting;
 //! * admission control ([`AdmissionConfig`]) — a bounded queue with FIFO
 //!   and shortest-job-first policies, SJF ordered by the deploy-time
@@ -21,8 +22,9 @@
 //!   leased instances.
 //!
 //! Concurrent execution is held **bit-identical** to the single-threaded
-//! path by the equivalence suite: same compiler, same extraction, same
-//! engine interpreter, same report assembly — only the locking changed.
+//! path by the equivalence suite: same pool, same compiler, same
+//! extraction, same engine interpreter, same report assembly — only the
+//! locking changed.
 
 pub mod accel;
 pub mod admission;

@@ -21,15 +21,13 @@ pub enum StorageError {
     UnknownAccelerator(String),
     /// A name is already registered in the catalog.
     DuplicateName(String),
-    /// All buffer frames are pinned; nothing can be evicted.
+    /// Every frame of a buffer-pool shard is held by a reader; nothing can
+    /// be evicted.
     BufferPoolExhausted,
     /// Tuple bytes disagree with the schema.
     SchemaMismatch(String),
     /// Unsupported page size (must be one of 8, 16, 32 KB).
     BadPageSize(usize),
-    /// A page that must be evicted (e.g. its table was dropped) is still
-    /// pinned by an in-flight scan.
-    PagePinned { heap: u32, page_no: u32 },
     /// A materialized (prediction) table whose source table was dropped:
     /// its rows describe data that no longer exists, so queries refuse it.
     StaleDerivedTable {
@@ -60,14 +58,11 @@ impl fmt::Display for StorageError {
                 write!(f, "name '{name}' already registered in catalog")
             }
             StorageError::BufferPoolExhausted => {
-                write!(f, "buffer pool exhausted: all frames pinned")
+                write!(f, "buffer pool exhausted: every frame of the shard is held")
             }
             StorageError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             StorageError::BadPageSize(sz) => {
                 write!(f, "unsupported page size {sz} (expected 8, 16, or 32 KB)")
-            }
-            StorageError::PagePinned { heap, page_no } => {
-                write!(f, "page {page_no} of heap {heap} is pinned; cannot evict")
             }
             StorageError::StaleDerivedTable {
                 table,

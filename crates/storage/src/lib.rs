@@ -6,18 +6,17 @@
 //! layout, so this crate implements a PostgreSQL-style storage engine:
 //!
 //! * [`schema`] — column types and table schemas;
-//! * [`tuple`] — tuple encoding (header + user data) and CPU-side deforming;
+//! * [`mod@tuple`] — tuple encoding (header + user data) and CPU-side deforming;
 //! * [`page`] — byte-exact slotted heap pages (page header, line pointers,
 //!   free space, special space) in 8/16/32 KB sizes;
 //! * [`heap`] — heap files: ordered collections of pages on the simulated
 //!   disk;
 //! * [`disk`] — a sequential/seek disk timing model (SSD-class by default);
-//! * [`bufferpool`] — a pin-count + clock-eviction buffer pool with warm /
-//!   cold cache control and hit/miss statistics (the paper's default setup
-//!   is an 8 GB pool of 32 KB pages, §7);
-//! * [`shared_pool`] — the concurrent variant: sharded frames behind
-//!   interior mutability, `Arc` page images instead of pin counts, for the
-//!   serving tier's many simultaneous scans;
+//! * [`shared_pool`] — the buffer pool: sharded clock-eviction frames
+//!   behind interior mutability, with `Arc` page images instead of pin
+//!   counts so many scans can read at once, warm / cold cache control and
+//!   hit/miss statistics (the paper's default setup is an 8 GB pool of
+//!   32 KB pages, §7);
 //! * [`catalog`] — the RDBMS catalog that stores both table metadata and the
 //!   accelerator artifacts DAnA deploys ("DAnA stores accelerator metadata
 //!   (Strider and execution engine instruction schedules) in the RDBMS's
@@ -27,7 +26,8 @@
 //! simulated seconds they would cost, never wall-clock time.
 
 pub mod batch;
-pub mod bufferpool;
+#[cfg(test)]
+mod bufferpool;
 pub mod catalog;
 pub mod disk;
 pub mod error;
@@ -38,14 +38,13 @@ pub mod shared_pool;
 pub mod tuple;
 
 pub use batch::{OneBatchSource, SourceError, TupleBatch, TupleSource};
-pub use bufferpool::{BufferPool, BufferPoolConfig, BufferPoolStats};
 pub use catalog::{AcceleratorEntry, Catalog, RuntimeCache, TableEntry};
 pub use disk::DiskModel;
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, HeapFileBuilder};
 pub use page::{HeapPage, PageLayoutDesc, PageView, LINE_POINTER_BYTES, PAGE_HEADER_BYTES};
 pub use schema::{ColumnType, Schema};
-pub use shared_pool::SharedBufferPool;
+pub use shared_pool::{BufferPoolConfig, BufferPoolStats, SharedBufferPool};
 pub use tuple::{Datum, Tuple, TUPLE_HEADER_BYTES};
 
 /// Identifies a heap file (a table's storage) within a database.

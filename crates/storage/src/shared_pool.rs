@@ -1,13 +1,19 @@
-//! Concurrent buffer pool: sharded frames behind interior mutability.
+//! The buffer pool: fixed-size frame cache, sharded for concurrent readers.
+//!
+//! "During query execution, the RDBMS fills the buffer pool, from which
+//! DAnA ships the data pages to the FPGA for processing." (§3) The pool is
+//! the *hand-off point* between the database and the accelerator, so it
+//! tracks everything the evaluation needs: hit/miss counts, simulated I/O
+//! seconds, and warm/cold residency control (the paper reports both cache
+//! settings for every experiment, §7).
 //!
 //! The serving tier multiplexes many training queries over one storage
-//! substrate, so the hand-off point between the database and the
-//! accelerators — the buffer pool — must admit concurrent readers without
-//! a global `&mut`. [`SharedBufferPool`] partitions the frame array into
-//! shards, each its own mutex-guarded clock cache; a page hashes to one
-//! shard, so two queries scanning different page ranges rarely touch the
-//! same lock, and a fetch holds its shard's lock only long enough to look
-//! up (or install) the page.
+//! substrate, so the pool must admit concurrent readers without a global
+//! `&mut`. [`SharedBufferPool`] partitions the frame array into shards,
+//! each its own mutex-guarded clock cache; a page hashes to one shard, so
+//! two queries scanning different page ranges rarely touch the same lock,
+//! and a fetch holds its shard's lock only long enough to look up (or
+//! install) the page. A single-session caller drives the same pool.
 //!
 //! Pin counts are replaced by reference counts: a fetch hands back an
 //! `Arc<[u8]>` page image. While any query still holds the `Arc`, the frame
@@ -22,11 +28,55 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use crate::bufferpool::{BufferPoolConfig, BufferPoolStats};
 use crate::disk::{DiskModel, Seconds};
 use crate::error::{StorageError, StorageResult};
 use crate::heap::HeapFile;
 use crate::{HeapId, PageId};
+
+/// Pool sizing configuration. The paper's default: 8 GB pool, 32 KB pages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct BufferPoolConfig {
+    /// Total pool capacity in bytes.
+    pub pool_bytes: u64,
+    /// Page size in bytes (all cached heaps must match).
+    pub page_size: usize,
+}
+
+impl BufferPoolConfig {
+    /// The paper's default setup (§7): 32 KB buffer pages, 8 GB pool.
+    pub fn paper_default() -> BufferPoolConfig {
+        BufferPoolConfig {
+            pool_bytes: 8 << 30,
+            page_size: 32 * 1024,
+        }
+    }
+
+    /// Number of frames the pool holds.
+    pub fn frames(&self) -> usize {
+        (self.pool_bytes / self.page_size as u64) as usize
+    }
+}
+
+/// Counters exposed for the evaluation harness.
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct BufferPoolStats {
+    pub hits: u64,
+    pub misses: u64,
+    pub evictions: u64,
+    /// Simulated seconds spent on disk reads (misses only).
+    pub io_seconds: Seconds,
+}
+
+impl BufferPoolStats {
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
 
 /// Default shard count: enough to keep a handful of concurrent scans off
 /// each other's locks without fragmenting a small pool.
@@ -126,16 +176,18 @@ impl SharedBufferPool {
         SharedBufferPool::with_shards(config, DEFAULT_SHARDS)
     }
 
-    /// Builds a pool whose frames are split across `shards` locks. Each
-    /// shard gets an equal slice of the frame budget (at least one frame).
+    /// Builds a pool whose frames are split across `shards` locks. The
+    /// first `frames % shards` shards take one frame more than the rest,
+    /// so the shards hold exactly the configured frames; every shard holds
+    /// at least one.
     pub fn with_shards(config: BufferPoolConfig, shards: usize) -> SharedBufferPool {
         let shards = shards.max(1);
         let total = config.frames().max(shards);
-        let per_shard = total / shards;
+        let (per_shard, extra) = (total / shards, total % shards);
         SharedBufferPool {
             config,
             shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .map(|i| Mutex::new(Shard::new(per_shard + usize::from(i < extra))))
                 .collect(),
             tombstones: Mutex::new(HashSet::new()),
         }
@@ -154,7 +206,9 @@ impl SharedBufferPool {
 
     /// Total frames across all shards.
     pub fn frames(&self) -> usize {
-        self.shards.len() * self.lock(0).frames.len()
+        (0..self.shards.len())
+            .map(|i| self.lock(i).frames.len())
+            .sum()
     }
 
     pub fn num_shards(&self) -> usize {
@@ -216,10 +270,11 @@ impl SharedBufferPool {
     }
 
     /// Fetches caller-provided bytes into the pool under `page_id` — the
-    /// scan tier's *compressed-frame* path (see
-    /// [`crate::BufferPool::fetch_raw`]). The miss is priced at the actual
-    /// byte count rather than the configured page size, which is where
-    /// compressed storage saves its I/O. Honors tombstones exactly like
+    /// scan tier's *compressed-frame* path. The frame holds exactly
+    /// `bytes` (typically a compressed page image, cached under a shadow
+    /// heap id) and the miss is priced at the actual byte count rather
+    /// than the configured page size, which is where compressed storage
+    /// saves its I/O. Honors tombstones exactly like
     /// [`SharedBufferPool::fetch`].
     pub fn fetch_raw(
         &self,
@@ -322,9 +377,11 @@ impl SharedBufferPool {
             .contains_key(&page_id)
     }
 
-    /// Warm-cache setup: loads `heap` front-to-back without charging query
-    /// I/O. Pages land in their hash shards; a shard that fills evicts its
-    /// own oldest pages, mirroring [`crate::BufferPool::prewarm`].
+    /// Warm-cache setup (§7: "before query execution, training data tables
+    /// ... reside in the buffer pool"): loads every page of `heap`
+    /// front-to-back without charging query I/O. Pages land in their hash
+    /// shards; a shard that fills evicts its own oldest pages, so a table
+    /// larger than the pool leaves its tail resident.
     pub fn prewarm(&self, heap_id: HeapId, heap: &HeapFile) -> StorageResult<usize> {
         for page_no in 0..heap.page_count() {
             let page_id = PageId::new(heap_id, page_no);
@@ -370,45 +427,11 @@ impl SharedBufferPool {
         }
     }
 
-    /// Evicts every resident page of `heap_id` — the `DROP TABLE` path.
-    /// Errors with [`StorageError::PagePinned`] (evicting nothing) if a
-    /// page of the heap is still held by an in-flight reader.
-    ///
-    /// Check and evict happen with *every* shard locked at once (in index
-    /// order, so concurrent callers cannot deadlock): the
-    /// nothing-or-everything contract must hold even while other threads
-    /// fetch concurrently.
-    pub fn evict_heap(&self, heap_id: HeapId) -> StorageResult<usize> {
-        let mut guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| match s.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            })
-            .collect();
-        if let Some(p) = guards
-            .iter()
-            .flat_map(|g| g.frames.iter())
-            .find_map(|f| f.page.filter(|p| p.heap == heap_id && f.is_held()))
-        {
-            return Err(StorageError::PagePinned {
-                heap: p.heap.0,
-                page_no: p.page_no,
-            });
-        }
-        let mut evicted = 0;
-        for shard in guards.iter_mut() {
-            evicted += evict_heap_frames(shard, heap_id);
-        }
-        Ok(evicted)
-    }
-
     /// Evicts every resident page of `heap_id` *unconditionally* — the
-    /// concurrent `DROP TABLE` path. Unlike pin counts, `Arc` page images
-    /// make this safe mid-scan: an in-flight reader's clone keeps its bytes
-    /// alive on its own; the pool merely drops its reference, so the frame
-    /// frees the instant the reader finishes instead of leaking forever.
+    /// `DROP TABLE` path. Unlike pin counts, `Arc` page images make this
+    /// safe mid-scan: an in-flight reader's clone keeps its bytes alive on
+    /// its own; the pool merely drops its reference, so the frame frees the
+    /// instant the reader finishes instead of leaking forever.
     ///
     /// The heap is tombstoned *before* the sweep: a racing fetch either
     /// installs before the sweep reaches its shard (and is swept) or sees
@@ -421,26 +444,19 @@ impl SharedBufferPool {
         };
         let mut evicted = 0;
         for i in 0..self.shards.len() {
-            evicted += evict_heap_frames(&mut self.lock(i), heap_id);
+            let shard = &mut *self.lock(i);
+            for f in shard.frames.iter_mut() {
+                if let Some(p) = f.page.filter(|p| p.heap == heap_id) {
+                    f.page = None;
+                    shard.page_table.remove(&p);
+                    f.bytes = Arc::from(&[][..]);
+                    f.referenced = false;
+                    evicted += 1;
+                }
+            }
         }
         evicted
     }
-}
-
-/// Detaches every frame of `heap_id` in one locked shard, held or not
-/// (readers keep their `Arc` snapshots).
-fn evict_heap_frames(shard: &mut Shard, heap_id: HeapId) -> usize {
-    let mut evicted = 0;
-    for f in shard.frames.iter_mut() {
-        if f.page.is_some_and(|p| p.heap == heap_id) {
-            let p = f.page.take().expect("page checked in condition");
-            shard.page_table.remove(&p);
-            f.bytes = Arc::from(&[][..]);
-            f.referenced = false;
-            evicted += 1;
-        }
-    }
-    evicted
 }
 
 #[cfg(test)]
@@ -485,6 +501,8 @@ mod tests {
         assert_eq!(&*b1, heap.page_bytes(0).unwrap());
         assert_eq!(bp.stats().hits, 1);
         assert_eq!(bp.stats().misses, 1);
+        assert_eq!(bp.stats().hit_rate(), 0.5);
+        assert_eq!(BufferPoolStats::default().hit_rate(), 0.0);
     }
 
     #[test]
@@ -533,6 +551,7 @@ mod tests {
         }
         assert_eq!(bp.stats().misses, 0);
         assert_eq!(bp.stats().io_seconds, 0.0);
+        assert!((bp.stats().hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -543,10 +562,12 @@ mod tests {
         bp.prewarm(HeapId(1), &heap).unwrap();
         bp.prewarm(HeapId(2), &heap).unwrap();
         let before = bp.resident_pages();
-        let evicted = bp.evict_heap(HeapId(1)).unwrap();
+        let evicted = bp.evict_heap_force(HeapId(1));
         assert_eq!(evicted as u32, heap.page_count());
         assert_eq!(bp.resident_pages(), before - evicted);
         assert!(bp.contains(PageId::new(HeapId(2), 0)));
+        // Idempotent: nothing left to evict.
+        assert_eq!(bp.evict_heap_force(HeapId(1)), 0);
         bp.clear();
         assert_eq!(bp.resident_pages(), 0);
         let (_, io) = bp.fetch(PageId::new(HeapId(2), 0), &heap, &disk).unwrap();
@@ -555,21 +576,41 @@ mod tests {
     }
 
     #[test]
-    fn evict_heap_refuses_held_pages() {
+    fn clear_makes_cache_cold() {
         let heap = small_heap(500);
         let bp = pool(8, 2);
+        let disk = DiskModel::ssd();
+        bp.prewarm(HeapId(1), &heap).unwrap();
+        assert!(bp.resident_pages() > 0);
+        bp.clear();
+        assert_eq!(bp.resident_pages(), 0);
+        let (_, io) = bp.fetch(PageId::new(HeapId(1), 0), &heap, &disk).unwrap();
+        assert!(io > 0.0, "a cleared pool charges the disk read");
+    }
+
+    #[test]
+    fn eviction_under_pressure() {
+        let heap = small_heap(2000);
+        assert!(heap.page_count() >= 4);
+        let bp = pool(2, 1);
         let disk = DiskModel::instant();
-        let held = bp.fetch(PageId::new(HeapId(1), 0), &heap, &disk).unwrap();
-        assert!(matches!(
-            bp.evict_heap(HeapId(1)),
-            Err(StorageError::PagePinned {
-                heap: 1,
-                page_no: 0
-            })
-        ));
-        assert!(bp.contains(PageId::new(HeapId(1), 0)));
-        drop(held);
-        assert_eq!(bp.evict_heap(HeapId(1)).unwrap(), 1);
+        for page_no in 0..4 {
+            bp.fetch(PageId::new(HeapId(1), page_no), &heap, &disk)
+                .unwrap();
+        }
+        assert_eq!(bp.stats().evictions, 2);
+        assert_eq!(bp.resident_pages(), 2);
+    }
+
+    #[test]
+    fn page_size_mismatch_rejected() {
+        let heap = small_heap(10); // 8 KB pages
+        let bp = SharedBufferPool::new(BufferPoolConfig {
+            pool_bytes: 1 << 20,
+            page_size: 32 * 1024,
+        });
+        let err = bp.fetch(PageId::new(HeapId(1), 0), &heap, &DiskModel::ssd());
+        assert!(matches!(err, Err(StorageError::BadPageSize(8192))));
     }
 
     #[test]
@@ -652,6 +693,10 @@ mod tests {
         let bp = pool(16, 4);
         assert_eq!(bp.frames(), 16);
         assert_eq!(bp.num_shards(), 4);
+        // A remainder is spread over the first shards, not dropped.
+        let bp = pool(10, 4);
+        assert_eq!(bp.frames(), 10);
+        assert_eq!(bp.frames(), bp.config().frames());
         // More shards than frames still leaves one frame per shard.
         let bp = pool(2, 8);
         assert_eq!(bp.frames(), 8);

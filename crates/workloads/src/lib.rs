@@ -3,7 +3,7 @@
 //! Fourteen workloads drive the evaluation — six over public datasets
 //! (Remote Sensing, WLAN, Netflix, Patient, Blog Feedback) and eight
 //! synthetic (S/N = nominal, S/E = extensive). The public datasets
-//! themselves are not redistributable here, so [`generate`] synthesizes
+//! themselves are not redistributable here, so [`generate()`] synthesizes
 //! data with **identical topology** (feature count, tuple count, byte
 //! volume) from planted ground-truth models — the substitution DESIGN.md §1
 //! documents. Every generator is seeded and deterministic.

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- In-database software path (MADlib-class) -----------------------
     let exec = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd());
-    let mut pool = dana_storage::BufferPool::new(BufferPoolConfig {
+    let pool = dana_storage::SharedBufferPool::new(BufferPoolConfig {
         pool_bytes: 1 << 30,
         page_size: 32 * 1024,
     });
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         epochs: w.epochs,
         ..Default::default()
     };
-    let madlib = exec.train(&mut pool, HeapId(0), &table.heap, &cfg)?;
+    let madlib = exec.train(&pool, HeapId(0), &table.heap, &cfg)?;
 
     // --- Report ----------------------------------------------------------
     println!(

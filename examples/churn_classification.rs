@@ -62,23 +62,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let mk_pool = || {
-        dana_storage::BufferPool::new(BufferPoolConfig {
+        dana_storage::SharedBufferPool::new(BufferPoolConfig {
             pool_bytes: 1 << 30,
             page_size: 32 * 1024,
         })
     };
-    let mut pool = mk_pool();
+    let pool = mk_pool();
     pool.prewarm(HeapId(0), &table.heap)?;
     let madlib = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd()).train(
-        &mut pool,
+        &pool,
         HeapId(0),
         &table.heap,
         &cfg,
     )?;
-    let mut pool = mk_pool();
+    let pool = mk_pool();
     pool.prewarm(HeapId(0), &table.heap)?;
     let gp = GreenplumExecutor::new(CpuModel::i7_6700(), DiskModel::ssd(), 8).train(
-        &mut pool,
+        &pool,
         HeapId(0),
         &table.heap,
         &cfg,

@@ -144,23 +144,37 @@ fn lowered_executor_matches_both_interpreter_tiers() {
     }
 }
 
-/// The serving tier's concurrent execution path (shared catalog + sharded
-/// buffer pool + `SharedPageStreamSource`) must train the bit-identical
-/// model to the single-threaded `Dana` facade, in every execution mode —
-/// the differential test holding the concurrency refactor to the serial
-/// path's math.
+/// The serving tier's `SystemCore` and the single-session `Dana` facade
+/// run on the same sharded buffer pool and page source, so the same
+/// serial statements must give the bit-identical model *and* the
+/// identical simulated timing and pool counters, in every execution mode
+/// — with a warm pool that holds the table, and with a cold pool smaller
+/// than the table, where every epoch's re-reads depend on which pages the
+/// pool kept. (Serial statements only: concurrent gang members under pool
+/// pressure evict in interleaving order.)
 #[test]
 fn concurrent_core_matches_single_threaded_across_modes() {
     use dana_server::{SystemCore, SystemCoreConfig};
 
-    for (name, scale) in [("Remote Sensing LR", 0.004), ("Patient", 0.01)] {
+    for (name, scale, warm) in [
+        ("Remote Sensing LR", 0.004, true),
+        ("Patient", 0.01, true),
+        ("Patient", 0.01, false),
+    ] {
         let mut w = workload(name).unwrap().scaled(scale);
         w.epochs = 3;
         w.merge_coef = 8;
+        let heap = generate(&w, 32 * 1024, 123).unwrap().heap;
         let pool = dana_storage::BufferPoolConfig {
-            pool_bytes: 256 << 20,
+            pool_bytes: if warm {
+                256 << 20
+            } else {
+                // Half the table: later epochs miss on the evicted pages.
+                (heap.page_count() as u64 / 2) * 32 * 1024
+            },
             page_size: 32 * 1024,
         };
+        assert!(warm || pool.frames() < heap.page_count() as usize);
 
         let core = SystemCore::new(SystemCoreConfig {
             fpga: FpgaSpec::vu9p(),
@@ -168,14 +182,16 @@ fn concurrent_core_matches_single_threaded_across_modes() {
             pool_shards: 8,
             disk: DiskModel::ssd(),
         });
-        core.create_table("t", generate(&w, 32 * 1024, 123).unwrap().heap)
-            .unwrap();
-        core.prewarm("t").unwrap();
-
+        core.create_table("t", heap.clone()).unwrap();
         let mut db = Dana::new(FpgaSpec::vu9p(), pool, DiskModel::ssd());
-        db.create_table("t", generate(&w, 32 * 1024, 123).unwrap().heap)
-            .unwrap();
-        db.prewarm("t").unwrap();
+        db.create_table("t", heap).unwrap();
+        if warm {
+            core.prewarm("t").unwrap();
+            db.prewarm("t").unwrap();
+        } else {
+            core.clear_cache();
+            db.clear_cache();
+        }
 
         let spec = w.spec();
         for mode in [
@@ -185,15 +201,21 @@ fn concurrent_core_matches_single_threaded_across_modes() {
         ] {
             let concurrent = core.train_with_spec(&spec, "t", mode).unwrap();
             let serial = db.train_with_spec(&spec, "t", mode).unwrap();
+            let case = format!("{name} (warm = {warm}): {mode:?}");
             assert_eq!(
                 concurrent.models, serial.models,
-                "{name}: {mode:?} concurrent path diverged from serial"
+                "{case}: concurrent path diverged from serial"
             );
-            assert_eq!(concurrent.epochs_run, serial.epochs_run, "{name}: {mode:?}");
+            assert_eq!(concurrent.epochs_run, serial.epochs_run, "{case}");
             assert_eq!(
                 concurrent.engine.cycles, serial.engine.cycles,
-                "{name}: {mode:?} cycle counts diverged"
+                "{case}: cycle counts diverged"
             );
+            assert_eq!(concurrent.timing, serial.timing, "{case}: timing diverged");
+            assert_eq!(core.pool_stats(), db.pool_stats(), "{case}: pool counters");
+            if !warm {
+                assert!(serial.timing.io_seconds > 0.0, "{case}: cold pool reads");
+            }
         }
         assert_eq!(core.held_frames(), 0, "{name}: leaked buffer-pool frames");
     }

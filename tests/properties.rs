@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use dana_dsl::Dims;
 use dana_storage::page::TupleDirection;
 use dana_storage::{
-    BufferPool, BufferPoolConfig, DiskModel, HeapFileBuilder, HeapId, PageId, Schema, Tuple,
+    BufferPoolConfig, DiskModel, HeapFileBuilder, HeapId, PageId, Schema, SharedBufferPool, Tuple,
 };
 use dana_storage::{ColumnType, HeapPage, PageLayoutDesc, TupleBatch};
 use dana_strider::isa::{decode_program, encode_program, Instr, Opcode, Operand, Reg};
@@ -300,10 +300,15 @@ proptest! {
         }
     }
 
-    /// The buffer pool never exceeds its frame budget, never loses a
-    /// pinned page, and hits+misses always equals total fetches.
+    /// The buffer pool never exceeds its frame budget, hits+misses always
+    /// equals total fetches, and no frame stays held once every reader
+    /// has dropped its page image — at any shard count.
     #[test]
-    fn bufferpool_invariants(ops in prop::collection::vec(0u32..12, 1..150), frames in 2usize..8) {
+    fn bufferpool_invariants(
+        ops in prop::collection::vec(0u32..12, 1..150),
+        frames in 2usize..8,
+        shards in 1usize..5,
+    ) {
         let schema = Schema::training(4);
         let mut b = HeapFileBuilder::new(schema, 8 * 1024, TupleDirection::Ascending).unwrap();
         for k in 0..2400 {
@@ -311,22 +316,26 @@ proptest! {
         }
         let heap = b.finish();
         prop_assume!(heap.page_count() >= 12);
-        let mut pool = BufferPool::new(BufferPoolConfig {
-            pool_bytes: (frames * 8 * 1024) as u64,
-            page_size: 8 * 1024,
-        });
+        let pool = SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: (frames * 8 * 1024) as u64,
+                page_size: 8 * 1024,
+            },
+            shards,
+        );
+        prop_assert_eq!(pool.frames(), frames.max(shards));
         let disk = DiskModel::instant();
         let mut fetches = 0u64;
         for page_no in ops {
-            if let Ok((frame, _)) = pool.fetch(PageId::new(HeapId(0), page_no), &heap, &disk) {
+            if let Ok((bytes, _)) = pool.fetch(PageId::new(HeapId(0), page_no), &heap, &disk) {
                 fetches += 1;
-                prop_assert!(pool.frame_bytes(frame).len() == 8 * 1024);
-                pool.unpin(frame);
+                prop_assert!(bytes.len() == 8 * 1024);
             }
-            prop_assert!(pool.resident_pages() <= frames);
+            prop_assert!(pool.resident_pages() <= pool.frames());
         }
         let stats = pool.stats();
         prop_assert_eq!(stats.hits + stats.misses, fetches);
+        prop_assert_eq!(pool.held_frames(), 0);
     }
 
     /// Page checksums detect any single-byte corruption of the data area.
